@@ -44,7 +44,8 @@ from .potential import (
     running_alpha_q,
     running_alpha_r,
 )
-from .salpeter import SolverConfig, SSOperatorMatrices, build_matrices, convergence_report, lowest_levels
+from .salpeter import (SolverConfig, SSOperatorMatrices, build_matrices, convergence_report,
+                       lowest_levels, salpeter_levels)
 from .spectra import (
     ComplexMass,
     DiracState,

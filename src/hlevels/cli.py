@@ -31,7 +31,7 @@ from .harness import (
     tables_to_json,
 )
 from .potential import DEFAULT_LAMBDA_MEV, PotentialParams
-from .salpeter import SolverConfig, lowest_levels
+from .salpeter import SolverConfig, salpeter_levels
 from .spectra import (
     DiracState,
     QuantumState,
@@ -204,16 +204,9 @@ def _cmd_widths(args) -> int:
 def _cmd_salpeter(args) -> int:
     c = _constants_from(args)
     cfg = _solver_from(args, c)
-    by_l = {}
-    for st in _split_states(args.states):
-        by_l[st.l] = max(by_l.get(st.l, 0), st.k + 1)
-    rows = []
-    for l, count in sorted(by_l.items()):
-        for level in lowest_levels(l, count, cfg, c, z=args.z):
-            rows.append((level.state.l, level.state.k,
-                         {"state": level.state.label, "T_eV": level.value}))
-    rows.sort(key=lambda item: item[:2])
-    _emit_rows([r for _, _, r in rows], ["state", "T_eV"], args.format)
+    levels = salpeter_levels(_split_states(args.states), cfg, c, z=args.z)
+    rows = [{"state": st.label, "T_eV": value} for st, value in levels.items()]
+    _emit_rows(rows, ["state", "T_eV"], args.format)
     return 0
 
 

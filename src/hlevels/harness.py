@@ -15,8 +15,8 @@ import json
 from dataclasses import dataclass, field, asdict
 
 from .constants import Constants, default_constants, derive
-from .errors import DuplicateState, ParseError
-from .salpeter import SolverConfig, lowest_levels
+from .errors import DuplicateState, HlevelsError, ParseError
+from .salpeter import SolverConfig, salpeter_levels
 from .spectra import QuantumState, kg_level, qc_complex_mass, qc_level
 
 TABLE_STATES = (
@@ -153,18 +153,6 @@ def relative_error(t_model: float, t_ref: float) -> float:
     return abs((t_model - t_ref) / t_ref) * 100.0
 
 
-def _salpeter_column(states, env: Environment) -> dict:
-    """Salpeter energies for the requested states, grouped by l."""
-    by_l = {}
-    for st in states:
-        by_l[st.l] = max(by_l.get(st.l, 0), st.k + 1)
-    out = {}
-    for l, count in sorted(by_l.items()):
-        for level in lowest_levels(l, count, env.solver, env.constants, z=env.z):
-            out[level.state] = level.value
-    return {st: out[st] for st in states}
-
-
 def generate_table1(
     models=MODELS,
     states=TABLE_STATES,
@@ -181,8 +169,8 @@ def generate_table1(
     ss_values = {}
     if "ss" in models and states:
         try:
-            ss_values = _salpeter_column(states, env)
-        except Exception:
+            ss_values = salpeter_levels(states, env.solver, env.constants, z=env.z)
+        except HlevelsError:
             ss_values = {}
     rows = []
     for st in states:

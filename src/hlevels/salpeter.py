@@ -8,6 +8,11 @@ quadrature, while overlap and Coulomb matrices are exact in coordinate
 space.  The rest mass m_plus is removed from the kinetic operator
 analytically: eigenvalues are binding energies directly, never a
 difference of ~1 GeV quantities.
+
+The basis is scale covariant, phi_n(a*u; a) = a^(-3/2) phi_n(u; 1) with
+u = p/a, so the overlap does not depend on the scale a and the Coulomb
+matrix is linear in a.  A scale trial therefore costs one kinetic Gram
+product and one symmetric eigensolve on a basis evaluated once.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh
+from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
-from .constants import Constants, DerivedMasses, derive
+from .constants import Constants, derive
 from .errors import IllConditionedBasis, NoConvergence
 from .spectra import EnergyLevel, QuantumState
 
@@ -128,6 +133,43 @@ def _coulomb_matrix(nb: int, l: int, a: float, alpha: float, z: int) -> np.ndarr
     return -z * alpha * np.outer(norms, norms) * partial[np.minimum.outer(i, i)] / (2.0 * a) ** 2
 
 
+class _ScaledCore:
+    """Scale-free operator parts for one orbital momentum and basis size.
+
+    Holds the unit-scale basis on a grid in u = p/a reaching p = _P_MAX_MEV
+    at the smallest inverse scale a_min to be tried, the overlap S, the
+    unit-scale Coulomb matrix V1 and L^-1 with S = L L^T.  Scale trials use
+    NumPy only, so the loop stays in one BLAS thread pool (SciPy has its own).
+    """
+
+    def __init__(self, l, cfg: SolverConfig, c: Constants, z: int, a_min: float, masses=None):
+        if l < 0:
+            raise ValueError(f"l must be >= 0, got {l}")
+        self.masses = masses if masses is not None else (c.m_e, c.m_p)
+        p, w = _momentum_grid(a_min, cfg.quad_nodes)
+        self.u = p / a_min
+        self.phi = _momentum_basis(self.u, cfg.basis_size, l, 1.0)
+        self.phi_w = self.phi * (w / a_min * self.u * self.u)
+        overlap = self.phi_w @ self.phi.T
+        self.overlap = 0.5 * (overlap + overlap.T)
+        cond = np.linalg.cond(self.overlap)
+        if not np.isfinite(cond) or cond > 1.0e12:
+            raise IllConditionedBasis(f"overlap condition number {cond:.3e}")
+        self.v1 = _coulomb_matrix(cfg.basis_size, l, 1.0, c.alpha, z)
+        self.l_inv = np.linalg.inv(np.linalg.cholesky(self.overlap))
+
+    def kinetic(self, a: float) -> np.ndarray:
+        """Binding kinetic matrix (rest mass removed) at inverse scale a."""
+        p = a * self.u
+        k = (self.phi_w * sum(_tau(p, m) for m in self.masses)) @ self.phi.T
+        return 0.5 * (k + k.T)
+
+    def spectrum(self, a: float) -> np.ndarray:
+        """Ascending binding eigenvalues (MeV) at inverse scale a."""
+        h = self.kinetic(a) + a * self.v1
+        return np.linalg.eigvalsh(self.l_inv @ h @ self.l_inv.T)
+
+
 def build_matrices(
     l: int,
     cfg: SolverConfig,
@@ -136,56 +178,34 @@ def build_matrices(
     masses: tuple = None,
 ) -> SSOperatorMatrices:
     """Operator matrices for orbital momentum l at the configured scale."""
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
     a = 1.0 / _resolve_scale(cfg, c)
-    nb = cfg.basis_size
-    m1, m2 = masses if masses is not None else (c.m_e, c.m_p)
-
-    p, w = _momentum_grid(a, cfg.quad_nodes)
-    phi = _momentum_basis(p, nb, l, a)
-    weight = w * p * p
-    overlap = (phi * weight) @ phi.T
-    kinetic_binding = (phi * (weight * (_tau(p, m1) + _tau(p, m2)))) @ phi.T
-    overlap = 0.5 * (overlap + overlap.T)
-    kinetic_binding = 0.5 * (kinetic_binding + kinetic_binding.T)
-
-    cond = np.linalg.cond(overlap)
-    if not np.isfinite(cond) or cond > 1.0e12:
-        raise IllConditionedBasis(f"overlap condition number {cond:.3e}")
-
-    potential = _coulomb_matrix(nb, l, a, c.alpha, z)
-    kinetic = kinetic_binding + (m1 + m2) * overlap
+    core = _ScaledCore(l, cfg, c, z, a, masses)
+    kinetic_binding = core.kinetic(a)
     return SSOperatorMatrices(
-        kinetic=kinetic,
-        potential=potential,
-        overlap=overlap,
+        kinetic=kinetic_binding + sum(core.masses) * core.overlap,
+        potential=a * core.v1,
+        overlap=core.overlap,
         kinetic_binding=kinetic_binding,
     )
 
 
-def _binding_spectrum(l, cfg, c, z=1, masses=None) -> np.ndarray:
-    m = build_matrices(l, cfg, c, z=z, masses=masses)
-    return eigh(m.kinetic_binding + m.potential, m.overlap, eigvals_only=True)
-
-
-def _golden_minimize(f, lo, hi, iterations=40):
-    """Golden-section minimum of f over [lo, hi] (log-spaced in the scale)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(math.exp(x1)), f(math.exp(x2))
-    for _ in range(iterations):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(math.exp(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(math.exp(x2))
-    return min(f1, f2)
+def _levels_ev(l, count, cfg: SolverConfig, c: Constants, z: int) -> list[float]:
+    base = _resolve_scale(cfg, c)
+    if not cfg.scale_search:
+        vals = _ScaledCore(l, cfg, c, z, 1.0 / base).spectrum(1.0 / base)
+        return [float(v) * c.ev_per_mev for v in vals[:count]]
+    lo, hi = cfg.scale_bracket
+    # optimal exponent scales like N/(mu*alpha): widen the bracket with index
+    core = _ScaledCore(l, cfg, c, z, 1.0 / (base * hi * (count + l)))
+    out = []
+    for index in range(count):
+        best = minimize_scalar(
+            lambda log_scale: core.spectrum(math.exp(-log_scale))[index],
+            bounds=(math.log(base * lo), math.log(base * hi * (index + l + 1))),
+            method="bounded",
+        )
+        out.append(float(best.fun) * c.ev_per_mev)
+    return out
 
 
 def lowest_levels(
@@ -198,40 +218,22 @@ def lowest_levels(
 ) -> list[EnergyLevel]:
     """The lowest `count` binding energies for orbital momentum l, in eV.
 
-    With scale_search enabled each target level is minimized over the
-    variational length parameter by golden-section search.  If tol is
+    With scale_search enabled each target level is minimized over the log
+    of the variational length parameter by bounded Brent search.  If tol is
     given, the basis is doubled once and NoConvergence is raised when any
     returned level moves by more than tol (eV).
     """
+    if l < 0:
+        raise ValueError(f"l must be >= 0, got {l}")
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > cfg.basis_size // 2:
         raise ValueError("count must not exceed basis_size/2")
-
-    def levels_for(config) -> list[float]:
-        base_scale = _resolve_scale(config, c)
-        if not config.scale_search:
-            vals = _binding_spectrum(l, config, c, z=z)
-            return [float(v) * c.ev_per_mev for v in vals[:count]]
-        out = []
-        for index in range(count):
-            # optimal exponent scales like N/(mu*alpha): widen bracket with index
-            lo = base_scale * config.scale_bracket[0]
-            hi = base_scale * config.scale_bracket[1] * (index + l + 1)
-            value = _golden_minimize(
-                lambda sc: float(
-                    _binding_spectrum(l, replace(config, scale=sc), c, z=z)[index]
-                ),
-                lo,
-                hi,
-            )
-            out.append(value * c.ev_per_mev)
-        return out
-
-    values = levels_for(cfg)
+    values = _levels_ev(l, count, cfg, c, z)
     if tol is not None:
-        doubled = levels_for(replace(cfg, basis_size=2 * cfg.basis_size,
-                                     quad_nodes=max(cfg.quad_nodes, 4 * cfg.basis_size)))
+        doubled = _levels_ev(l, count, replace(cfg, basis_size=2 * cfg.basis_size,
+                                               quad_nodes=max(cfg.quad_nodes, 4 * cfg.basis_size)),
+                             c, z)
         for i, (v, vd) in enumerate(zip(values, doubled)):
             if abs(v - vd) > tol:
                 raise NoConvergence(
@@ -241,6 +243,21 @@ def lowest_levels(
         EnergyLevel(value=v, model="salpeter", state=QuantumState(k=i, l=l))
         for i, v in enumerate(values)
     ]
+
+
+def salpeter_levels(states, cfg: SolverConfig, c: Constants, z: int = 1) -> dict:
+    """{QuantumState: eV} for each l's levels up to its highest requested k.
+
+    Ordered by l, then k; the unrequested lower levels come with the solve.
+    """
+    counts = {}
+    for st in states:
+        counts[st.l] = max(counts.get(st.l, 0), st.k + 1)
+    return {
+        level.state: level.value
+        for l, count in sorted(counts.items())
+        for level in lowest_levels(l, count, cfg, c, z=z)
+    }
 
 
 def convergence_report(
@@ -258,9 +275,9 @@ def convergence_report(
     rows = []
     previous = None
     for nb in sizes:
-        config = replace(cfg, basis_size=nb, quad_nodes=max(cfg.quad_nodes, 2 * nb))
-        vals = _binding_spectrum(l, config, c, z=z)
-        value = float(vals[level_index]) * c.ev_per_mev
+        config = replace(cfg, basis_size=nb, quad_nodes=max(cfg.quad_nodes, 2 * nb),
+                         scale_search=False)
+        value = _levels_ev(l, level_index + 1, config, c, z)[level_index]
         delta = None if previous is None else value - previous
         rows.append({"basis_size": nb, "value_ev": value, "delta_ev": delta})
         previous = value

@@ -54,7 +54,7 @@ from hlevels.harness import (
     generate_table1,
     generate_table2,
 )
-from hlevels.salpeter import lowest_levels
+from hlevels.salpeter import lowest_levels, salpeter_levels
 
 C = default_constants()
 D = derive(C)
@@ -118,13 +118,7 @@ def ss_column():
     """Salpeter column at basis 64 with scale search, with its wall time."""
     cfg = SolverConfig(basis_size=64, scale_search=True)
     start = time.perf_counter()
-    by_l = {}
-    for st in TABLE_STATES:
-        by_l[st.l] = max(by_l.get(st.l, 0), st.k + 1)
-    values = {}
-    for l, count in sorted(by_l.items()):
-        for level in lowest_levels(l, count, cfg, C):
-            values[level.state] = level.value
+    values = salpeter_levels(TABLE_STATES, cfg, C)
     elapsed = time.perf_counter() - start
     return {st: values[st] for st in TABLE_STATES}, elapsed
 

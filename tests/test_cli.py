@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hlevels
 from hlevels import ParseError, QuantumState
 from hlevels.cli import main, parse_state_label
 
@@ -119,3 +124,25 @@ def test_compare_with_custom_reference(capsys, tmp_path):
     first = doc["table"]["energies"][0]
     assert first["state"] == "1S"
     assert first["qc"] == pytest.approx(-13.59810653, abs=5e-5)
+
+
+def _compare_json(omp_threads: str) -> bytes:
+    src = str(Path(hlevels.__file__).resolve().parent.parent)
+    env = dict(os.environ, OMP_NUM_THREADS=omp_threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hlevels.cli", "compare", "--format", "json"],
+                          capture_output=True, env=env, timeout=300, check=True)
+    return proc.stdout
+
+
+def test_compare_json_is_independent_of_blas_threads():
+    assert _compare_json("1") == _compare_json("2")
+
+
+def test_version_has_one_source():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hlevels.__version__"}

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from hlevels import (
     DuplicateState,
     Environment,
+    IllConditionedBasis,
     ParseError,
     QuantumState,
     builtin_reference,
@@ -131,6 +132,28 @@ def test_generate_table1_closed_form_columns(C):
 
 def test_generate_table1_empty_states():
     assert generate_table1(models=("kg",), states=()) == []
+
+
+def _raising_lowest_levels(exc):
+    def lowest_levels(*args, **kwargs):
+        raise exc
+
+    return lowest_levels
+
+
+def test_generate_table1_propagates_salpeter_bugs(monkeypatch):
+    monkeypatch.setattr("hlevels.salpeter.lowest_levels",
+                        _raising_lowest_levels(TypeError("solver bug")))
+    with pytest.raises(TypeError, match="solver bug"):
+        generate_table1(models=("kg", "ss"))
+
+
+def test_generate_table1_salpeter_failure_leaves_empty_cells(monkeypatch):
+    monkeypatch.setattr("hlevels.salpeter.lowest_levels",
+                        _raising_lowest_levels(IllConditionedBasis("overlap")))
+    rows = generate_table1(models=("kg", "ss"))
+    assert [r["ss"] for r in rows] == [None] * len(TABLE_STATES)
+    assert all(r["kg"] is not None for r in rows)
 
 
 def test_generate_table2_from_published_energies():

@@ -2,19 +2,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 from hlevels import (
     Constants,
     IllConditionedBasis,
     NoConvergence,
+    QuantumState,
     SolverConfig,
     build_matrices,
     convergence_report,
     derive,
     lowest_levels,
+    salpeter_levels,
 )
-from hlevels.salpeter import _momentum_basis, _momentum_grid, _tau, _resolve_scale
+from hlevels.harness import TABLE_STATES
+from hlevels.salpeter import _ScaledCore, _momentum_basis, _momentum_grid, _tau, _resolve_scale
+
+# `hlevels compare --format json` SS column (default SolverConfig) as solved
+# by the golden-section search that preceded the scale-covariant core.
+FROZEN_SS_EV = {
+    "1S": -13.599182208492211,
+    "1P": -3.3995981447685186,
+    "1D": -1.5109248107960889,
+    "1F": -0.84989405629371761,
+    "1G": -0.54393190369325917,
+    "2S": -3.3997175054431197,
+    "2P": -1.5109319509923822,
+    "2D": -0.84989534727397487,
+    "3S": -1.5109672923398916,
+    "3P": -0.84989835954367132,
+}
 
 
 def small_cfg(**kw):
@@ -118,6 +137,8 @@ def test_count_validation(C):
         lowest_levels(0, 0, small_cfg(), C)
     with pytest.raises(ValueError):
         lowest_levels(0, 9, small_cfg(), C)
+    with pytest.raises(ValueError):
+        lowest_levels(-1, 1, small_cfg(scale_search=True), C)
 
 
 def test_no_convergence_with_tight_tolerance(C):
@@ -145,3 +166,38 @@ def test_convergence_report_ladder(C):
     assert not rows[0]["flagged"]
     with pytest.raises(ValueError):
         convergence_report(0, 0, (8, 16), small_cfg(), C)
+
+
+def test_table_column_matches_frozen_values(C):
+    values = salpeter_levels(TABLE_STATES, SolverConfig(), C)
+    for state in TABLE_STATES:
+        assert abs(values[state] - FROZEN_SS_EV[state.label]) <= 1e-9, state.label
+
+
+def test_salpeter_levels_fills_lower_levels(C):
+    cfg = small_cfg()
+    states = [QuantumState(2, 0), QuantumState(0, 1)]
+    values = salpeter_levels(states, cfg, C)
+    assert list(values) == [QuantumState(0, 0), QuantumState(1, 0), QuantumState(2, 0),
+                            QuantumState(0, 1)]
+    expected = lowest_levels(0, 3, cfg, C) + lowest_levels(1, 1, cfg, C)
+    assert list(values.values()) == [level.value for level in expected]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=4), st.floats(min_value=0.05, max_value=4.0))
+def test_core_spectrum_matches_generalized_eigh(C, l, bohr_multiple):
+    cfg = small_cfg(scale=bohr_multiple / (derive(C).mu * C.alpha))
+    m = build_matrices(l, cfg, C)
+    reference = eigh(m.kinetic_binding + m.potential, m.overlap, eigvals_only=True)
+    a = 1.0 / cfg.scale
+    got = _ScaledCore(l, cfg, C, 1, a).spectrum(a)
+    # eigenvalues near zero are held to 1e-10 of the Rydberg energy instead
+    rydberg = derive(C).mu * C.alpha**2 / 2.0
+    np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-10 * rydberg)
+
+
+def test_basis_256_is_ill_conditioned(C):
+    cfg = SolverConfig(basis_size=256, quad_nodes=4096, scale_search=False)
+    with pytest.raises(IllConditionedBasis):
+        lowest_levels(0, 1, cfg, C)
