@@ -9,8 +9,6 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import asdict
@@ -21,6 +19,7 @@ from .harness import (
     Environment,
     TABLE_STATES,
     builtin_reference,
+    format_rows,
     generate_table1,
     generate_table2,
     load_reference_csv,
@@ -87,6 +86,17 @@ def _split_states(text: str) -> list[QuantumState]:
     return out
 
 
+def _nuclear_charge(text: str) -> int:
+    """argparse type of --z: an integer Z >= 1, as PotentialParams requires."""
+    try:
+        z = int(text)
+    except ValueError:
+        z = 0
+    if z < 1:
+        raise argparse.ArgumentTypeError(f"Z must be an integer >= 1, got {text!r}")
+    return z
+
+
 def _constants_from(args) -> Constants:
     base = default_constants()
     return Constants(
@@ -112,26 +122,18 @@ def _emit_rows(rows, header, fmt, float_fmt="{:.8f}"):
     if fmt == "json":
         sys.stdout.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
         return
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for r in rows:
-            writer.writerow([
-                float_fmt.format(r[h]) if isinstance(r[h], float) else r[h] for h in header
-            ])
-        sys.stdout.write(buf.getvalue())
-        return
-    widths = [max(len(h), 14) for h in header]
-    sys.stdout.write(" ".join(h.rjust(w) for h, w in zip(header, widths)) + "\n")
-    for r in rows:
-        cells = [
-            float_fmt.format(r[h]) if isinstance(r[h], float) else str(r[h]) for h in header
-        ]
-        sys.stdout.write(" ".join(c.rjust(w) for c, w in zip(cells, widths)) + "\n")
+    columns = [
+        (h, max(len(h), 14),
+         lambda r, h=h: float_fmt.format(r[h]) if isinstance(r[h], float) else str(r[h]))
+        for h in header
+    ]
+    sys.stdout.write(format_rows(rows, columns, fmt))
 
 
 def _cmd_spectrum(args) -> int:
+    if args.reduced_mass and args.model not in ("schrodinger", "scalar"):
+        print(f"error: --reduced-mass does not apply to --model {args.model}", file=sys.stderr)
+        return 2
     c = _constants_from(args)
     d = derive(c)
     states = _split_states(args.states)
@@ -221,7 +223,7 @@ def _cmd_constants(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--z", type=int, default=1)
+    p.add_argument("--z", type=_nuclear_charge, default=1)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--me-mev", type=float, default=None)
     p.add_argument("--mp-mev", type=float, default=None)

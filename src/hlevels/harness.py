@@ -80,16 +80,6 @@ class ReferenceDataset:
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    """One state's energies (eV), relative errors (percent) and M_im (MeV)."""
-
-    state: str
-    energies: dict
-    epsilons: dict
-    m_im: float
-
-
-@dataclass(frozen=True)
 class Environment:
     """Shared inputs for table generation."""
 
@@ -172,6 +162,7 @@ def generate_table1(
             ss_values = salpeter_levels(states, env.solver, env.constants, z=env.z)
         except HlevelsError:
             ss_values = {}
+    d = derive(env.constants)
     rows = []
     for st in states:
         row = {"state": st.label}
@@ -180,16 +171,14 @@ def generate_table1(
                 if model == "kg":
                     row[model] = kg_level(st, env.z, env.constants).value
                 elif model == "qc":
-                    row[model] = qc_level(st, derive(env.constants), env.constants).value
+                    row[model] = qc_level(st, d, env.constants).value
                 elif model == "ss":
                     row[model] = ss_values.get(st)
                 elif model == "nist":
                     row[model] = reference.entries.get(st)
                 else:
                     raise ValueError(f"unknown model {model!r}")
-            except ValueError:
-                raise
-            except Exception:
+            except HlevelsError:
                 row[model] = None
         rows.append(row)
     return rows
@@ -235,77 +224,80 @@ def generate_table2(env: Environment = None, table1: list[dict] = None) -> list[
 
 # --- serialization -----------------------------------------------------------
 
-def _fmt_ev(value) -> str:
-    return "" if value is None else f"{value:.8f}"
+def format_rows(rows, columns, fmt: str) -> str:
+    """Header and one line per row, as 'text' or 'csv'.
+
+    Each column is (header, width, cell), where cell(row) gives the string.
+    Text right-aligns every cell to its width and joins with one space; CSV
+    ignores the widths.
+    """
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([header for header, _, _ in columns])
+        writer.writerows([cell(r) for _, _, cell in columns] for r in rows)
+        return buf.getvalue()
+    lines = [[header for header, _, _ in columns]]
+    lines += [[cell(r) for _, _, cell in columns] for r in rows]
+    return "".join(
+        " ".join(text.rjust(width) for text, (_, width, _) in zip(line, columns)) + "\n"
+        for line in lines
+    )
+
+
+def _cell(key: str, spec: str = ""):
+    """Cell that formats row[key] with spec, or is empty when it is None."""
+    return lambda r: "" if r.get(key) is None else format(r[key], spec)
+
+
+_TABLE1_TEXT = [("state", 5, _cell("state"))] + [
+    (f"T_{name}", 14, _cell(m, ".8f")) for name, m in zip(("KG", "SS", "QC", "ref"), MODELS)
+]
+_TABLE1_CSV = [("state", 0, _cell("state"))] + [(m, 0, _cell(m, ".17g")) for m in MODELS]
+_TABLE2_TEXT = (
+    [("state", 5, _cell("state"))]
+    + [(f"eps_{m.upper()}", 10, _cell(f"eps_{m}", ".3e")) for m in ("kg", "ss", "qc")]
+    + [("M_im", 10, _cell("m_im", ".6f")),
+       # the flags sit two spaces after M_im
+       (" flags", 0, lambda r: " " + ",".join(f"{k}={v}" for k, v in r["flags"].items()))]
+)
+_TABLE2_CSV = (
+    [("state", 0, _cell("state"))]
+    + [(f"eps_{m}", 0, _cell(f"eps_{m}", ".17g")) for m in ("kg", "ss", "qc")]
+    + [("m_im", 0, _cell("m_im", ".6f"))]
+    + [(f"flag_{k}", 0, lambda r, k=k: r["flags"][k]) for k in ("kg", "ss", "qc", "m_im")]
+)
 
 
 def table1_to_text(rows) -> str:
-    out = [f"{'state':>5} {'T_KG':>14} {'T_SS':>14} {'T_QC':>14} {'T_ref':>14}"]
-    for r in rows:
-        out.append(
-            f"{r['state']:>5} "
-            + " ".join(f"{_fmt_ev(r.get(m)):>14}" for m in ("kg", "ss", "qc", "nist"))
-        )
-    return "\n".join(out) + "\n"
+    return format_rows(rows, _TABLE1_TEXT, "text")
 
 
 def table2_to_text(rows) -> str:
-    out = [f"{'state':>5} {'eps_KG':>10} {'eps_SS':>10} {'eps_QC':>10} {'M_im':>10}  flags"]
-    for r in rows:
-        cells = []
-        for m in ("kg", "ss", "qc"):
-            v = r.get(f"eps_{m}")
-            cells.append("" if v is None else f"{v:.3e}")
-        flag_text = ",".join(f"{k}={v}" for k, v in r["flags"].items())
-        out.append(
-            f"{r['state']:>5} "
-            + " ".join(f"{c:>10}" for c in cells)
-            + f" {r['m_im']:10.6f}  {flag_text}"
-        )
-    return "\n".join(out) + "\n"
+    return format_rows(rows, _TABLE2_TEXT, "text")
 
 
 def table1_to_csv(rows) -> str:
     """Round-trippable CSV (17 significant digits)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["state", "kg", "ss", "qc", "nist"])
-    for r in rows:
-        writer.writerow(
-            [r["state"]]
-            + ["" if r.get(m) is None else f"{r[m]:.17g}" for m in ("kg", "ss", "qc", "nist")]
-        )
-    return buf.getvalue()
+    return format_rows(rows, _TABLE1_CSV, "csv")
 
 
 def table1_from_csv(text: str) -> list[dict]:
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
-    if header != ["state", "kg", "ss", "qc", "nist"]:
+    if header != ["state", *MODELS]:
         raise ParseError("unexpected table header", line=1)
     rows = []
     for record in reader:
         row = {"state": record[0]}
-        for model, cell in zip(("kg", "ss", "qc", "nist"), record[1:]):
+        for model, cell in zip(MODELS, record[1:]):
             row[model] = None if cell == "" else float(cell)
         rows.append(row)
     return rows
 
 
 def table2_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["state", "eps_kg", "eps_ss", "eps_qc", "m_im",
-                     "flag_kg", "flag_ss", "flag_qc", "flag_m_im"])
-    for r in rows:
-        writer.writerow(
-            [r["state"]]
-            + ["" if r.get(f"eps_{m}") is None else f"{r[f'eps_{m}']:.17g}"
-               for m in ("kg", "ss", "qc")]
-            + [f"{r['m_im']:.6f}"]
-            + [r["flags"][k] for k in ("kg", "ss", "qc", "m_im")]
-        )
-    return buf.getvalue()
+    return format_rows(rows, _TABLE2_CSV, "csv")
 
 
 def tables_to_json(table1, table2, env: Environment = None) -> str:

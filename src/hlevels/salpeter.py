@@ -31,6 +31,7 @@ from .spectra import EnergyLevel, QuantumState
 
 _P_MAX_MEV = 1.0e6
 _P_MIN_OCTAVES = 40  # lower grid edge at scale * 2^-40
+_SCALE_BRACKET = (0.05, 4.0)  # scale search range, in multiples of the base scale
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,9 @@ class SolverConfig:
     """Basis size, variational length scale (1/MeV) and quadrature order."""
 
     basis_size: int = 64
-    scale: float = None  # default: Bohr length 1/(mu*alpha)
+    scale: float = None  # default: Bohr length 1/(mu*Z*alpha)
     quad_nodes: int = 4096
     scale_search: bool = True
-    scale_bracket: tuple = (0.05, 4.0)  # multiples of scale
 
     def __post_init__(self):
         if self.basis_size < 4:
@@ -66,11 +66,10 @@ class SSOperatorMatrices:
     kinetic_binding: np.ndarray
 
 
-def _resolve_scale(cfg: SolverConfig, c: Constants) -> float:
+def _resolve_scale(cfg: SolverConfig, c: Constants, z: int = 1) -> float:
     if cfg.scale is not None:
         return cfg.scale
-    d = derive(c)
-    return 1.0 / (d.mu * c.alpha)
+    return 1.0 / (derive(c).mu * (z * c.alpha))
 
 
 def _basis_norms(nb: int, l: int, a: float) -> np.ndarray:
@@ -178,7 +177,7 @@ def build_matrices(
     masses: tuple = None,
 ) -> SSOperatorMatrices:
     """Operator matrices for orbital momentum l at the configured scale."""
-    a = 1.0 / _resolve_scale(cfg, c)
+    a = 1.0 / _resolve_scale(cfg, c, z)
     core = _ScaledCore(l, cfg, c, z, a, masses)
     kinetic_binding = core.kinetic(a)
     return SSOperatorMatrices(
@@ -190,12 +189,12 @@ def build_matrices(
 
 
 def _levels_ev(l, count, cfg: SolverConfig, c: Constants, z: int) -> list[float]:
-    base = _resolve_scale(cfg, c)
+    base = _resolve_scale(cfg, c, z)
     if not cfg.scale_search:
         vals = _ScaledCore(l, cfg, c, z, 1.0 / base).spectrum(1.0 / base)
         return [float(v) * c.ev_per_mev for v in vals[:count]]
-    lo, hi = cfg.scale_bracket
-    # optimal exponent scales like N/(mu*alpha): widen the bracket with index
+    lo, hi = _SCALE_BRACKET
+    # optimal length scales like N/(mu*Z*alpha): widen the bracket with index
     core = _ScaledCore(l, cfg, c, z, 1.0 / (base * hi * (count + l)))
     out = []
     for index in range(count):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import Constants, DerivedMasses
+from .constants import Constants, DerivedMasses, derive
 from .errors import SupercriticalCharge
 
 SPECTROSCOPIC_LETTERS = "SPDFGHIK"
@@ -98,6 +98,18 @@ def _binding_ev(m_mev: float, x: float, ev_per_mev: float) -> float:
     return -m_mev * x / (s * (1.0 + s)) * ev_per_mev
 
 
+def _vector_coulomb_ev(n: int, h: float, z: int, c: Constants) -> float:
+    """Vector-Coulomb binding energy in eV at principal number n and h = j+1/2 or l+1/2."""
+    za = z * c.alpha
+    if za >= h:
+        raise SupercriticalCharge(
+            f"Z*alpha = {za:.6f} >= angular bound {h}; state destroyed (Z={z})"
+        )
+    lam = math.sqrt(h * h - za * za)
+    x = (za / (n - h + lam)) ** 2
+    return _binding_ev(c.m_e, x, c.ev_per_mev)
+
+
 def _qc_parts(n_principal: float, d: DerivedMasses, c: Constants):
     """(v, e2, b, |eps^2|) for the quasiclassical quadratic at given N."""
     v = c.alpha / (2.0 * n_principal)
@@ -112,36 +124,21 @@ def schrodinger_level(n_principal: int, c: Constants, use_reduced: bool = False)
     """Nonrelativistic level -m*alpha^2/(2 N^2) in eV."""
     if n_principal < 1:
         raise ValueError(f"N must be >= 1, got {n_principal}")
-    m = c.m_e * c.m_p / (c.m_p + c.m_e) if use_reduced else c.m_e
+    m = derive(c).mu if use_reduced else c.m_e
     value = -m * c.alpha**2 / (2.0 * n_principal**2) * c.ev_per_mev
     return EnergyLevel(value=value, model="schrodinger", state=n_principal)
 
 
 def sommerfeld_level(s: DiracState, z: int, c: Constants) -> EnergyLevel:
     """Fine-structure level from the relativistic vector-Coulomb formula."""
-    za = z * c.alpha
-    jh = (s.two_j + 1) / 2.0  # j + 1/2
-    if za >= jh:
-        raise SupercriticalCharge(
-            f"Z*alpha = {za:.6f} >= j + 1/2 = {jh}; state destroyed (Z={z})"
-        )
-    lam = math.sqrt(jh * jh - za * za)
-    x = (za / (s.n - jh + lam)) ** 2
-    return EnergyLevel(value=_binding_ev(c.m_e, x, c.ev_per_mev), model="sommerfeld", state=s)
+    value = _vector_coulomb_ev(s.n, (s.two_j + 1) / 2.0, z, c)
+    return EnergyLevel(value=value, model="sommerfeld", state=s)
 
 
 def kg_level(s: QuantumState, z: int, c: Constants) -> EnergyLevel:
     """Vector-Coulomb Klein-Gordon level; static equation, bare electron mass."""
-    za = z * c.alpha
-    lh = s.l + 0.5
-    if za >= lh:
-        raise SupercriticalCharge(
-            f"Z*alpha = {za:.6f} >= l + 1/2 = {lh}; state destroyed (Z={z})"
-        )
-    lam = math.sqrt(lh * lh - za * za)
-    n = s.n_principal()
-    x = (za / (n - lh + lam)) ** 2
-    return EnergyLevel(value=_binding_ev(c.m_e, x, c.ev_per_mev), model="kg", state=s)
+    value = _vector_coulomb_ev(s.n_principal(), s.l + 0.5, z, c)
+    return EnergyLevel(value=value, model="kg", state=s)
 
 
 def scalar_coulomb_level(
@@ -155,7 +152,7 @@ def scalar_coulomb_level(
     y = za / (n - lh + lam)
     if y >= 1.0:
         raise ValueError(f"y = {y} >= 1: no bound state")
-    m = c.m_e * c.m_p / (c.m_p + c.m_e) if use_reduced else c.m_e
+    m = derive(c).mu if use_reduced else c.m_e
     # sqrt(1-y^2) - 1 = -y^2 / (1 + sqrt(1-y^2))
     value = -m * y * y / (1.0 + math.sqrt(1.0 - y * y)) * c.ev_per_mev
     return EnergyLevel(value=value, model="scalar", state=s)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -19,7 +18,7 @@ from scipy.optimize import brentq
 
 from .constants import Constants, DerivedMasses
 from .errors import NoBoundRegion, QuadratureFailure
-from .potential import PotentialParams, mass_function, potential_r
+from .potential import PotentialParams, potential_r
 from .spectra import QuantumState, qc_root_gaps
 
 _SCAN_POINTS = 3000
@@ -58,10 +57,6 @@ class RadialProblem:
             object.__setattr__(self, "s_gap_high", self.derived.m_plus**2 - self.s)
         object.__setattr__(self, "k_factor", (1.0 - self.derived.m_minus**2 / self.s) / 4.0)
         object.__setattr__(self, "m_l", angular_eigenmomentum(self.l))
-
-    @property
-    def mass_fn(self) -> Callable[[float], float]:
-        return lambda r: mass_function(r, self.params, self.derived)
 
     def radicand(self, r: float) -> float:
         # s - M(r)^2 = (s - m_plus^2) - W*(2 m_plus + W)
@@ -164,6 +159,23 @@ def analytic_i_infinity(
     return math.pi * c.alpha * d.m_plus * math.sqrt(gap_low / (s * gap_high))
 
 
+def _check_state(st: QuantumState, d: DerivedMasses, c: Constants, params: PotentialParams):
+    """Root, turning points, residual and I_infinity defect of one state."""
+    s_plus, gap_low, gap_high = qc_root_gaps(st, d, c)
+    problem = RadialProblem(s=s_plus, l=st.l, params=params, derived=d, s_gap_high=gap_high)
+    tps = find_turning_points(problem)
+    integral = phase_integral(problem, tps)
+    target = math.pi * (st.k + 0.5)
+    i_inf = analytic_i_infinity(s_plus, d, c, gap_low=gap_low, gap_high=gap_high)
+    return {
+        "s_plus": s_plus,
+        "r1": tps.r1,
+        "r2": tps.r2,
+        "residual": (integral - target) / target,
+        "i_inf_defect": i_inf / (2.0 * math.pi * st.n_principal()) - 1.0,
+    }
+
+
 def quantization_residual(
     k: int,
     l: int,
@@ -172,12 +184,7 @@ def quantization_residual(
     params: PotentialParams,
 ) -> float:
     """Normalized defect of the phase integral against pi*(k + 1/2)."""
-    if k < 0 or l < 0:
-        raise ValueError("k and l must be non-negative")
-    s_plus, _, gap_high = qc_root_gaps(QuantumState(k, l), d, c)
-    problem = RadialProblem(s=s_plus, l=l, params=params, derived=d, s_gap_high=gap_high)
-    target = math.pi * (k + 0.5)
-    return (phase_integral(problem) - target) / target
+    return _check_state(QuantumState(k, l), d, c, params)["residual"]
 
 
 def verification_report(
@@ -187,22 +194,4 @@ def verification_report(
     params: PotentialParams,
 ) -> list[dict]:
     """One row per state: root, turning points, residual and I_infinity check."""
-    rows = []
-    for st in states:
-        s_plus, gap_low, gap_high = qc_root_gaps(st, d, c)
-        problem = RadialProblem(s=s_plus, l=st.l, params=params, derived=d, s_gap_high=gap_high)
-        tps = find_turning_points(problem)
-        integral = phase_integral(problem, tps)
-        target = math.pi * (st.k + 0.5)
-        i_inf = analytic_i_infinity(s_plus, d, c, gap_low=gap_low, gap_high=gap_high)
-        rows.append(
-            {
-                "state": st.label,
-                "s_plus": s_plus,
-                "r1": tps.r1,
-                "r2": tps.r2,
-                "residual": (integral - target) / target,
-                "i_inf_defect": i_inf / (2.0 * math.pi * st.n_principal()) - 1.0,
-            }
-        )
-    return rows
+    return [{"state": st.label, **_check_state(st, d, c, params)} for st in states]

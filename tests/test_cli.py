@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -65,6 +66,34 @@ def test_spectrum_supercritical_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--model", "kg", "--z", "-1", "--states", "1S"),
+    ("spectrum", "--model", "scalar", "--z", "0"),
+    ("salpeter", "--z", "-1"),
+    ("compare", "--z", "two"),
+])
+def test_charge_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--z" in err
+
+
+@pytest.mark.parametrize("model", ["kg", "sommerfeld", "qc"])
+def test_reduced_mass_is_rejected_where_it_has_no_effect(capsys, model):
+    code, out, err = run(capsys, "spectrum", "--model", model, "--reduced-mass")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("model", ["schrodinger", "scalar"])
+def test_reduced_mass_raises_the_level(capsys, model):
+    argv = ("spectrum", "--model", model, "--states", "1S", "--format", "csv")
+    bare = float(run(capsys, *argv)[1].splitlines()[1].split(",")[2])
+    code, out, _ = run(capsys, *argv, "--reduced-mass")
+    assert code == 0
+    assert bare < float(out.splitlines()[1].split(",")[2]) < 0.0
+
+
 def test_unknown_model_is_usage_error(capsys):
     assert run(capsys, "spectrum", "--model", "bogus")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
@@ -124,6 +153,37 @@ def test_compare_with_custom_reference(capsys, tmp_path):
     first = doc["table"]["energies"][0]
     assert first["state"] == "1S"
     assert first["qc"] == pytest.approx(-13.59810653, abs=5e-5)
+
+
+def _cell(value, spec: str) -> str:
+    return "" if value is None else format(value, spec)
+
+
+@pytest.mark.parametrize("z", ["1", "100"])  # at Z=100 the S-wave kg cells are empty
+def test_compare_formats_agree_cell_by_cell(capsys, z):
+    out = {fmt: run(capsys, "compare", "--basis-size", "16", "--z", z, "--format", fmt)[1]
+           for fmt in ("text", "csv", "json")}
+    doc = json.loads(out["json"])
+    energies, accuracies = doc["table"]["energies"], doc["table"]["accuracies"]
+    n = len(energies)
+    text = out["text"].splitlines()
+    records = list(csv.reader(out["csv"].splitlines()))
+    assert len(text) == len(records) == 2 * n + 2
+    models, flag_keys = ("kg", "ss", "qc", "nist"), ("kg", "ss", "qc", "m_im")
+    for row, line, record in zip(energies, text[1:], records[1:]):
+        assert line == f"{row['state']:>5} " + " ".join(
+            f"{_cell(row[m], '.8f'):>14}" for m in models)
+        assert record == [row["state"]] + [_cell(row[m], ".17g") for m in models]
+    for row, line, record in zip(accuracies, text[n + 2:], records[n + 2:]):
+        eps = [row[f"eps_{m}"] for m in ("kg", "ss", "qc")]
+        flags = [row["flags"][k] for k in flag_keys]
+        assert line == (f"{row['state']:>5} " + " ".join(f"{_cell(v, '.3e'):>10}" for v in eps)
+                        + f" {row['m_im']:10.6f}  "
+                        + ",".join(f"{k}={f}" for k, f in zip(flag_keys, flags)))
+        assert record == ([row["state"]] + [_cell(v, ".17g") for v in eps]
+                          + [_cell(row["m_im"], ".6f")] + flags)
+    unavailable = {r["state"] for r in accuracies if r["flags"]["kg"] == "UNAVAILABLE"}
+    assert unavailable == ({"1S", "2S", "3S"} if z == "100" else set())
 
 
 def _compare_json(omp_threads: str) -> bytes:

@@ -148,6 +148,15 @@ def test_generate_table1_propagates_salpeter_bugs(monkeypatch):
         generate_table1(models=("kg", "ss"))
 
 
+def test_generate_table1_propagates_level_bugs(monkeypatch):
+    def broken_kg_level(*args):
+        raise TypeError("level bug")
+
+    monkeypatch.setattr("hlevels.harness.kg_level", broken_kg_level)
+    with pytest.raises(TypeError, match="level bug"):
+        generate_table1(models=("kg", "qc"))
+
+
 def test_generate_table1_salpeter_failure_leaves_empty_cells(monkeypatch):
     monkeypatch.setattr("hlevels.salpeter.lowest_levels",
                         _raising_lowest_levels(IllConditionedBasis("overlap")))

@@ -201,3 +201,13 @@ def test_basis_256_is_ill_conditioned(C):
     cfg = SolverConfig(basis_size=256, quad_nodes=4096, scale_search=False)
     with pytest.raises(IllConditionedBasis):
         lowest_levels(0, 1, cfg, C)
+
+
+@pytest.mark.parametrize("z", [1, 2, 20, 40])
+def test_scale_search_is_no_worse_than_the_bohr_scale(C, D, z):
+    # the bracket is in units of 1/(mu*Z*alpha), so it holds the optimum at every Z
+    bohr = 1.0 / (D.mu * z * C.alpha)
+    assert _resolve_scale(SolverConfig(), C, z) == pytest.approx(bohr, rel=1e-15)
+    searched = lowest_levels(0, 1, SolverConfig(), C, z=z)[0].value
+    fixed = lowest_levels(0, 1, SolverConfig(scale=bohr, scale_search=False), C, z=z)[0].value
+    assert searched <= fixed

@@ -115,7 +115,7 @@ def test_analytic_i_infinity_limits(C, D):
 
 
 def test_quantization_residuals_small(C, D, P):
-    for k, l in ((0, 0), (0, 1), (2, 2)):
+    for k, l in ((0, 0), (0, 1), (2, 2), (0, 8)):  # l = 8 has no spectroscopic letter
         assert abs(quantization_residual(k, l, D, C, P)) <= 1e-6
     with pytest.raises(ValueError):
         quantization_residual(-1, 0, D, C, P)
