@@ -44,8 +44,6 @@ from .potential import (
     running_alpha_q,
     running_alpha_r,
 )
-from .salpeter import (SolverConfig, SSOperatorMatrices, build_matrices, convergence_report,
-                       lowest_levels, salpeter_levels)
 from .spectra import (
     ComplexMass,
     DiracState,
@@ -62,15 +60,30 @@ from .spectra import (
     schrodinger_level,
     sommerfeld_level,
 )
-from .verifier import (
-    RadialProblem,
-    TurningPoints,
-    analytic_i_infinity,
-    angular_eigenmomentum,
-    find_turning_points,
-    phase_integral,
-    quantization_residual,
-    verification_report,
-)
 
 __version__ = "1.0.0"
+
+# The Salpeter solver and the verifier need numpy and scipy, which take most
+# of a cold start; they load on the first use of one of their names (PEP 562).
+_LAZY = {
+    **dict.fromkeys(("SolverConfig", "SSOperatorMatrices", "build_matrices",
+                     "convergence_report", "lowest_levels", "salpeter_levels"), "salpeter"),
+    **dict.fromkeys(("RadialProblem", "TurningPoints", "analytic_i_infinity",
+                     "angular_eigenmomentum", "find_turning_points", "phase_integral",
+                     "quantization_residual", "verification_report"), "verifier"),
+}
+
+# `from hlevels import *` and dir() include them
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __dir__():
+    return sorted([*globals(), *_LAZY])
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 from .constants import Constants, default_constants, derive
 from .errors import HlevelsError, ParseError
@@ -30,7 +31,6 @@ from .harness import (
     tables_to_json,
 )
 from .potential import DEFAULT_LAMBDA_MEV, PotentialParams
-from .salpeter import SolverConfig, salpeter_levels
 from .spectra import (
     DiracState,
     QuantumState,
@@ -42,7 +42,11 @@ from .spectra import (
     schrodinger_level,
     sommerfeld_level,
 )
-from .verifier import verification_report
+
+# salpeter and verifier load numpy and scipy, most of a cold start: the
+# commands that solve import them when they run
+if TYPE_CHECKING:
+    from .salpeter import SolverConfig
 
 _DEFAULT_LABELS = ",".join(st.label for st in TABLE_STATES)
 _VERIFY_LIMIT = 1.0e-5
@@ -83,6 +87,8 @@ def _split_states(text: str) -> list[QuantumState]:
             out.append(parse_state_label(f"{k_text},{l_text}"))
         else:
             out.append(parse_state_label(part))
+    if not out:
+        raise ParseError(f"no state labels in {text!r}")
     return out
 
 
@@ -108,6 +114,8 @@ def _constants_from(args) -> Constants:
 
 
 def _solver_from(args, c: Constants) -> SolverConfig:
+    from .salpeter import SolverConfig
+
     kwargs = {}
     if getattr(args, "basis_size", None) is not None:
         kwargs["basis_size"] = args.basis_size
@@ -173,6 +181,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verifier import verification_report
+
     c = _constants_from(args)
     d = derive(c)
     params = PotentialParams(alpha=c.alpha, lam=args.lambda_mev, z=args.z)
@@ -204,6 +214,8 @@ def _cmd_widths(args) -> int:
 
 
 def _cmd_salpeter(args) -> int:
+    from .salpeter import salpeter_levels
+
     c = _constants_from(args)
     cfg = _solver_from(args, c)
     levels = salpeter_levels(_split_states(args.states), cfg, c, z=args.z)

@@ -13,11 +13,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field, asdict
+from typing import TYPE_CHECKING
 
 from .constants import Constants, default_constants, derive
 from .errors import DuplicateState, HlevelsError, ParseError
-from .salpeter import SolverConfig, salpeter_levels
 from .spectra import QuantumState, kg_level, qc_complex_mass, qc_level
+
+if TYPE_CHECKING:
+    from .salpeter import SolverConfig
 
 TABLE_STATES = (
     QuantumState(0, 0),
@@ -79,12 +82,19 @@ class ReferenceDataset:
                 raise ValueError(f"reference energy for {state.label} must be negative")
 
 
+def _default_solver() -> SolverConfig:
+    # imported on use, so that importing harness does not load numpy and scipy
+    from .salpeter import SolverConfig
+
+    return SolverConfig()
+
+
 @dataclass(frozen=True)
 class Environment:
     """Shared inputs for table generation."""
 
     constants: Constants = field(default_factory=default_constants)
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: SolverConfig = field(default_factory=_default_solver)
     reference: ReferenceDataset = None
     z: int = 1
 
@@ -158,6 +168,8 @@ def generate_table1(
     states = tuple(states)
     ss_values = {}
     if "ss" in models and states:
+        from .salpeter import salpeter_levels
+
         try:
             ss_values = salpeter_levels(states, env.solver, env.constants, z=env.z)
         except HlevelsError:

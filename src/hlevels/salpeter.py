@@ -26,7 +26,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from .constants import Constants, derive
-from .errors import IllConditionedBasis, NoConvergence
+from .errors import IllConditionedBasis, NoConvergence, SupercriticalCharge
 from .spectra import EnergyLevel, QuantumState
 
 _P_MAX_MEV = 1.0e6
@@ -188,7 +188,23 @@ def build_matrices(
     )
 
 
+def _critical_coupling(l: int) -> float:
+    """Herbst's bound 2[Gamma((l+2)/2)/Gamma((l+1)/2)]^2: 2/pi for l=0, pi/2 for l=1.
+
+    Past it sqrt(p^2+m_e^2) - z*alpha/r is unbounded below in the l channel
+    (Commun. Math. Phys. 53, 285 (1977)); the finite proton mass stops the
+    collapse only at the proton-mass scale, so there is no atomic level.
+    """
+    return 2.0 * math.exp(2.0 * (math.lgamma((l + 2) / 2) - math.lgamma((l + 1) / 2)))
+
+
 def _levels_ev(l, count, cfg: SolverConfig, c: Constants, z: int) -> list[float]:
+    za, bound = z * c.alpha, _critical_coupling(l)
+    if za > bound:
+        raise SupercriticalCharge(
+            f"Z*alpha = {za:.6f} > critical coupling {bound:.6f} for l={l}; "
+            f"no Salpeter level (Z={z})"
+        )
     base = _resolve_scale(cfg, c, z)
     if not cfg.scale_search:
         vals = _ScaledCore(l, cfg, c, z, 1.0 / base).spectrum(1.0 / base)
@@ -220,7 +236,8 @@ def lowest_levels(
     With scale_search enabled each target level is minimized over the log
     of the variational length parameter by bounded Brent search.  If tol is
     given, the basis is doubled once and NoConvergence is raised when any
-    returned level moves by more than tol (eV).
+    returned level moves by more than tol (eV).  Raises SupercriticalCharge
+    when z*alpha exceeds the critical coupling of channel l.
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")

@@ -66,6 +66,23 @@ def test_spectrum_supercritical_exit_code(capsys):
     assert "error:" in err
 
 
+def test_salpeter_supercritical_s_wave_exit_code(capsys):
+    code, out, err = run(capsys, "salpeter", "--z", "90", "--states", "1S")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--states", ""),
+    ("widths", "--states", ","),
+    ("salpeter", "--states", ""),
+])
+def test_empty_state_list_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--model", "kg", "--z", "-1", "--states", "1S"),
     ("spectrum", "--model", "scalar", "--z", "0"),
@@ -184,19 +201,42 @@ def test_compare_formats_agree_cell_by_cell(capsys, z):
                           + [_cell(row["m_im"], ".6f")] + flags)
     unavailable = {r["state"] for r in accuracies if r["flags"]["kg"] == "UNAVAILABLE"}
     assert unavailable == ({"1S", "2S", "3S"} if z == "100" else set())
+    # past the S-wave critical coupling the whole Salpeter column is unavailable
+    assert {r["flags"]["ss"] == "UNAVAILABLE" for r in accuracies} == {z == "100"}
+
+
+def _child_env(**extra) -> dict:
+    src = str(Path(hlevels.__file__).resolve().parent.parent)
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def _compare_json(omp_threads: str) -> bytes:
-    src = str(Path(hlevels.__file__).resolve().parent.parent)
-    env = dict(os.environ, OMP_NUM_THREADS=omp_threads)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "hlevels.cli", "compare", "--format", "json"],
-                          capture_output=True, env=env, timeout=300, check=True)
+                          capture_output=True, env=_child_env(OMP_NUM_THREADS=omp_threads),
+                          timeout=300, check=True)
     return proc.stdout
 
 
 def test_compare_json_is_independent_of_blas_threads():
     assert _compare_json("1") == _compare_json("2")
+
+
+_CLOSED_FORM_PROBE = """
+import contextlib, io, sys
+from hlevels.cli import main
+for argv in (["spectrum", "--model", "kg"], ["widths"], ["constants"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+
+
+def test_closed_form_commands_load_neither_numpy_nor_scipy():
+    proc = subprocess.run([sys.executable, "-c", _CLOSED_FORM_PROBE], capture_output=True,
+                          text=True, env=_child_env(), timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_version_has_one_source():

@@ -11,6 +11,7 @@ from hlevels import (
     NoConvergence,
     QuantumState,
     SolverConfig,
+    SupercriticalCharge,
     build_matrices,
     convergence_report,
     derive,
@@ -211,3 +212,18 @@ def test_scale_search_is_no_worse_than_the_bohr_scale(C, D, z):
     searched = lowest_levels(0, 1, SolverConfig(), C, z=z)[0].value
     fixed = lowest_levels(0, 1, SolverConfig(scale=bohr, scale_search=False), C, z=z)[0].value
     assert searched <= fixed
+
+
+@pytest.mark.parametrize("l, z", [(0, 88), (1, 216)])
+def test_level_above_critical_coupling_raises(C, l, z):
+    # Herbst's bound is 2/pi for l=0 (Z=87 is below it) and pi/2 for l=1 (Z=215 is below it)
+    assert z * C.alpha > (2 / math.pi if l == 0 else math.pi / 2)
+    with pytest.raises(SupercriticalCharge):
+        lowest_levels(l, 1, SolverConfig(), C, z=z)
+
+
+@pytest.mark.parametrize("l, z", [(0, 87), (1, 88), (1, 215)])
+def test_level_below_critical_coupling_is_finite(C, l, z):
+    assert z * C.alpha < (2 / math.pi if l == 0 else math.pi / 2)
+    level = lowest_levels(l, 1, SolverConfig(), C, z=z)[0].value
+    assert math.isfinite(level) and level < 0.0
