@@ -63,8 +63,9 @@ from .spectra import (
 
 __version__ = "1.0.0"
 
-# The Salpeter solver and the verifier need numpy and scipy, which take most
-# of a cold start; they load on the first use of one of their names (PEP 562).
+# The Salpeter solver and the verifier need numpy, which takes twice as long
+# to import as the rest of the package; they load on the first use of one of
+# their names (PEP 562).
 _LAZY = {
     **dict.fromkeys(("SolverConfig", "SSOperatorMatrices", "build_matrices",
                      "convergence_report", "lowest_levels", "salpeter_levels"), "salpeter"),

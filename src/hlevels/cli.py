@@ -43,8 +43,8 @@ from .spectra import (
     sommerfeld_level,
 )
 
-# salpeter and verifier load numpy and scipy, most of a cold start: the
-# commands that solve import them when they run
+# salpeter and verifier load numpy, most of a cold start: the commands that
+# solve import them when they run
 if TYPE_CHECKING:
     from .salpeter import SolverConfig
 

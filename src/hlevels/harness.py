@@ -83,7 +83,7 @@ class ReferenceDataset:
 
 
 def _default_solver() -> SolverConfig:
-    # imported on use, so that importing harness does not load numpy and scipy
+    # imported on use, so that importing harness does not load numpy
     from .salpeter import SolverConfig
 
     return SolverConfig()
@@ -167,13 +167,16 @@ def generate_table1(
     reference = env.reference or builtin_reference()
     states = tuple(states)
     ss_values = {}
-    if "ss" in models and states:
+    if "ss" in models:
         from .salpeter import salpeter_levels
 
-        try:
-            ss_values = salpeter_levels(states, env.solver, env.constants, z=env.z)
-        except HlevelsError:
-            ss_values = {}
+        # one solve per l, so that a channel that fails empties only its own cells
+        for l in sorted({st.l for st in states}):
+            try:
+                ss_values.update(salpeter_levels([st for st in states if st.l == l],
+                                                 env.solver, env.constants, z=env.z))
+            except HlevelsError:
+                pass
     d = derive(env.constants)
     rows = []
     for st in states:

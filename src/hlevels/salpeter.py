@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
 
 from .constants import Constants, derive
 from .errors import IllConditionedBasis, NoConvergence, SupercriticalCharge
@@ -32,6 +30,9 @@ from .spectra import EnergyLevel, QuantumState
 _P_MAX_MEV = 1.0e6
 _P_MIN_OCTAVES = 40  # lower grid edge at scale * 2^-40
 _SCALE_BRACKET = (0.05, 4.0)  # scale search range, in multiples of the base scale
+_SCALE_XATOL = 1.0e-5  # absolute tolerance of the search in log(scale)
+_SCALE_MAX_EVALS = 500
+_OVERLAP_DEFECT_MAX = 1.0e-3  # max|S - I| of the quadrature overlap
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,14 @@ def _resolve_scale(cfg: SolverConfig, c: Constants, z: int = 1) -> float:
     return 1.0 / (derive(c).mu * (z * c.alpha))
 
 
+def _lgamma(n: np.ndarray) -> np.ndarray:
+    return np.array([math.lgamma(v) for v in n.tolist()])
+
+
 def _basis_norms(nb: int, l: int, a: float) -> np.ndarray:
     # phi_n(r) = N_n (2ar)^l e^{-ar} L_n^{(2l+2)}(2ar), <phi_m phi_n r^2> = delta
     n = np.arange(nb)
-    return np.exp(0.5 * (3.0 * math.log(2.0 * a) + gammaln(n + 1) - gammaln(n + 2 * l + 3)))
+    return np.exp(0.5 * (3.0 * math.log(2.0 * a) + _lgamma(n + 1) - _lgamma(n + 2 * l + 3)))
 
 
 def _momentum_basis(p: np.ndarray, nb: int, l: int, a: float) -> np.ndarray:
@@ -102,8 +107,12 @@ def _momentum_basis(p: np.ndarray, nb: int, l: int, a: float) -> np.ndarray:
         * p**l
         / (p * p + a * a) ** (l + 2)
     )
-    layers = (np.arange(nb) + l + 1)[:, None] * cg * prefactor[None, :]
-    return _basis_norms(nb, l, a)[:, None] * np.cumsum(layers, axis=0)
+    # in place, in the float order of (j+l+1) * C_j * prefactor, cumsum, norms
+    cg *= (np.arange(nb) + l + 1)[:, None]
+    cg *= prefactor
+    np.cumsum(cg, axis=0, out=cg)
+    cg *= _basis_norms(nb, l, a)[:, None]
+    return cg
 
 
 def _momentum_grid(a: float, total_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +136,7 @@ def _tau(p: np.ndarray, m: float) -> np.ndarray:
 def _coulomb_matrix(nb: int, l: int, a: float, alpha: float, z: int) -> np.ndarray:
     # <m| -z*alpha/r |n> = -z*alpha N_m N_n (2a)^-2 sum_{i<=min(m,n)} Gamma(2l+2+i)/i!
     i = np.arange(nb)
-    partial = np.cumsum(np.exp(gammaln(2 * l + 2 + i) - gammaln(i + 1)))
+    partial = np.cumsum(np.exp(_lgamma(2 * l + 2 + i) - _lgamma(i + 1)))
     norms = _basis_norms(nb, l, a)
     return -z * alpha * np.outer(norms, norms) * partial[np.minimum.outer(i, i)] / (2.0 * a) ** 2
 
@@ -137,8 +146,10 @@ class _ScaledCore:
 
     Holds the unit-scale basis on a grid in u = p/a reaching p = _P_MAX_MEV
     at the smallest inverse scale a_min to be tried, the overlap S, the
-    unit-scale Coulomb matrix V1 and L^-1 with S = L L^T.  Scale trials use
-    NumPy only, so the loop stays in one BLAS thread pool (SciPy has its own).
+    unit-scale Coulomb matrix V1 and L^-1 with S = L L^T.  S is the identity
+    analytically; a grid that aliases the basis moves it away, and the
+    variational search then finds spurious low levels, so such a grid
+    raises IllConditionedBasis.
     """
 
     def __init__(self, l, cfg: SolverConfig, c: Constants, z: int, a_min: float, masses=None):
@@ -151,9 +162,12 @@ class _ScaledCore:
         self.phi_w = self.phi * (w / a_min * self.u * self.u)
         overlap = self.phi_w @ self.phi.T
         self.overlap = 0.5 * (overlap + overlap.T)
-        cond = np.linalg.cond(self.overlap)
-        if not np.isfinite(cond) or cond > 1.0e12:
-            raise IllConditionedBasis(f"overlap condition number {cond:.3e}")
+        defect = float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size))))
+        if not defect <= _OVERLAP_DEFECT_MAX:  # NaN fails too
+            raise IllConditionedBasis(
+                f"overlap deviates from the identity by {defect:.3e} "
+                f"(limit {_OVERLAP_DEFECT_MAX:g}); the momentum grid is too coarse for the basis"
+            )
         self.v1 = _coulomb_matrix(cfg.basis_size, l, 1.0, c.alpha, z)
         self.l_inv = np.linalg.inv(np.linalg.cholesky(self.overlap))
 
@@ -198,6 +212,77 @@ def _critical_coupling(l: int) -> float:
     return 2.0 * math.exp(2.0 * (math.lgamma((l + 2) / 2) - math.lgamma((l + 1) / 2)))
 
 
+def _bounded_brent(f, lo: float, hi: float):
+    """Minimum of f on [lo, hi] by Brent's method: (x, f(x), evaluations).
+
+    Golden-section steps with parabolic interpolation (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5), in the
+    step sequence of SciPy's minimize_scalar(method="bounded"), so that it
+    visits the same points: absolute tolerance _SCALE_XATOL in x, at most
+    _SCALE_MAX_EVALS evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + _SCALE_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + _SCALE_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _SCALE_MAX_EVALS:
+            break
+    return xf, fx, num
+
+
 def _levels_ev(l, count, cfg: SolverConfig, c: Constants, z: int) -> list[float]:
     za, bound = z * c.alpha, _critical_coupling(l)
     if za > bound:
@@ -214,12 +299,12 @@ def _levels_ev(l, count, cfg: SolverConfig, c: Constants, z: int) -> list[float]
     core = _ScaledCore(l, cfg, c, z, 1.0 / (base * hi * (count + l)))
     out = []
     for index in range(count):
-        best = minimize_scalar(
+        _, best, _ = _bounded_brent(
             lambda log_scale: core.spectrum(math.exp(-log_scale))[index],
-            bounds=(math.log(base * lo), math.log(base * hi * (index + l + 1))),
-            method="bounded",
+            math.log(base * lo),
+            math.log(base * hi * (index + l + 1)),
         )
-        out.append(float(best.fun) * c.ev_per_mev)
+        out.append(float(best) * c.ev_per_mev)
     return out
 
 

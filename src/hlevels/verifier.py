@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 from .constants import Constants, DerivedMasses
 from .errors import NoBoundRegion, QuadratureFailure
@@ -98,10 +97,25 @@ def find_turning_points(p: RadialProblem) -> TurningPoints:
         hi += 1
     if q[lo] > 0.0 or q[hi] > 0.0:
         raise NoBoundRegion("bound region extends beyond the scan grid")
-    tiny = float(np.finfo(float).tiny)  # relative tolerance dominates
-    r1 = brentq(p.radicand, rs[lo], rs[lo + 1], xtol=tiny, rtol=_BISECT_RTOL)
-    r2 = brentq(p.radicand, rs[hi - 1], rs[hi], xtol=tiny, rtol=_BISECT_RTOL)
+    r1 = _bisect(p.radicand, float(rs[lo]), float(rs[lo + 1]), q[lo])
+    r2 = _bisect(p.radicand, float(rs[hi - 1]), float(rs[hi]), q[hi - 1])
     return TurningPoints(r1=r1, r2=r2)
+
+
+def _bisect(f, a: float, b: float, fa: float) -> float:
+    """Zero of f between a and b, where f changes sign; fa = f(a)."""
+    if fa == 0.0:
+        return a
+    xtol = float(np.finfo(float).tiny)  # the relative tolerance dominates
+    dm = b - a
+    while True:
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
 
 
 def phase_integral(

@@ -66,6 +66,13 @@ def test_spectrum_supercritical_exit_code(capsys):
     assert "error:" in err
 
 
+def test_salpeter_aliased_grid_exit_code(capsys):
+    # basis 192 on the default grid printed 1P = -5.43 eV and 1G = -2339.5 eV with exit 0
+    code, out, err = run(capsys, "salpeter", "--basis-size", "192", "--states", "1S,1P,1G")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
 def test_salpeter_supercritical_s_wave_exit_code(capsys):
     code, out, err = run(capsys, "salpeter", "--z", "90", "--states", "1S")
     assert (code, out) == (1, "")
@@ -201,8 +208,8 @@ def test_compare_formats_agree_cell_by_cell(capsys, z):
                           + [_cell(row["m_im"], ".6f")] + flags)
     unavailable = {r["state"] for r in accuracies if r["flags"]["kg"] == "UNAVAILABLE"}
     assert unavailable == ({"1S", "2S", "3S"} if z == "100" else set())
-    # past the S-wave critical coupling the whole Salpeter column is unavailable
-    assert {r["flags"]["ss"] == "UNAVAILABLE" for r in accuracies} == {z == "100"}
+    # past the S-wave critical coupling only the S cells of the Salpeter column are empty
+    assert {r["state"] for r in accuracies if r["flags"]["ss"] == "UNAVAILABLE"} == unavailable
 
 
 def _child_env(**extra) -> dict:
@@ -236,6 +243,22 @@ print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
 def test_closed_form_commands_load_neither_numpy_nor_scipy():
     proc = subprocess.run([sys.executable, "-c", _CLOSED_FORM_PROBE], capture_output=True,
                           text=True, env=_child_env(), timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+_SOLVER_PROBE = """
+import contextlib, io, sys
+from hlevels.cli import main
+for argv in (["compare", "--basis-size", "16"], ["salpeter", "--basis-size", "16"], ["verify"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_solver_commands_do_not_load_scipy():
+    proc = subprocess.run([sys.executable, "-c", _SOLVER_PROBE], capture_output=True,
+                          text=True, env=_child_env(), timeout=300, check=True)
     assert proc.stdout.strip() == "[]"
 
 

@@ -5,10 +5,12 @@ from hypothesis import given, strategies as st
 
 from hlevels import (
     DuplicateState,
+    EnergyLevel,
     Environment,
     IllConditionedBasis,
     ParseError,
     QuantumState,
+    SupercriticalCharge,
     builtin_reference,
     generate_table1,
     generate_table2,
@@ -163,6 +165,19 @@ def test_generate_table1_salpeter_failure_leaves_empty_cells(monkeypatch):
     rows = generate_table1(models=("kg", "ss"))
     assert [r["ss"] for r in rows] == [None] * len(TABLE_STATES)
     assert all(r["kg"] is not None for r in rows)
+
+
+def test_generate_table1_salpeter_failure_empties_only_its_l(monkeypatch):
+    def s_wave_fails(l, count, *args, **kwargs):
+        if l == 0:
+            raise SupercriticalCharge("S wave")
+        return [EnergyLevel(value=-1.0 - l - k, model="salpeter", state=QuantumState(k, l))
+                for k in range(count)]
+
+    monkeypatch.setattr("hlevels.salpeter.lowest_levels", s_wave_fails)
+    rows = generate_table1(models=("ss",))
+    assert {r["state"]: r["ss"] for r in rows} == {
+        st_.label: None if st_.l == 0 else -1.0 - st_.l - st_.k for st_ in TABLE_STATES}
 
 
 def test_generate_table2_from_published_energies():

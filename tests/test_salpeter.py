@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
+from scipy.optimize import minimize_scalar
 
 from hlevels import (
     Constants,
@@ -19,7 +20,15 @@ from hlevels import (
     salpeter_levels,
 )
 from hlevels.harness import TABLE_STATES
-from hlevels.salpeter import _ScaledCore, _momentum_basis, _momentum_grid, _tau, _resolve_scale
+from hlevels.salpeter import (
+    _SCALE_BRACKET,
+    _ScaledCore,
+    _bounded_brent,
+    _momentum_basis,
+    _momentum_grid,
+    _resolve_scale,
+    _tau,
+)
 
 # `hlevels compare --format json` SS column (default SolverConfig) as solved
 # by the golden-section search that preceded the scale-covariant core.
@@ -227,3 +236,56 @@ def test_level_below_critical_coupling_is_finite(C, l, z):
     assert z * C.alpha < (2 / math.pi if l == 0 else math.pi / 2)
     level = lowest_levels(l, 1, SolverConfig(), C, z=z)[0].value
     assert math.isfinite(level) and level < 0.0
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(basis_size=192),
+    SolverConfig(basis_size=224),
+    SolverConfig(basis_size=192, scale_search=False),
+    SolverConfig(quad_nodes=1024),
+], ids=["nb192", "nb224", "nb192-fixed-scale", "nodes1024"])
+@pytest.mark.parametrize("l", [0, 1, 4])
+def test_aliased_grid_raises_instead_of_a_spurious_level(C, cfg, l):
+    # these grids alias the basis; they printed 1P = -5.43 eV, 1G = -2339.5 eV and
+    # 1S = -8.3e8 eV (nb 192, 224) and 1S = -215870 eV (1024 nodes)
+    with pytest.raises(IllConditionedBasis, match="overlap deviates from the identity"):
+        lowest_levels(l, 1, cfg, C)
+
+
+def _scipy_bounded(f, lo, hi):
+    best = minimize_scalar(f, bounds=(lo, hi), method="bounded")
+    return float(best.x), float(best.fun), best.nfev
+
+
+@pytest.mark.parametrize("l", range(5))
+def test_scale_search_steps_like_scipy_bounded(C, l):
+    cfg = SolverConfig()
+    base = _resolve_scale(cfg, C)
+    lo, hi = _SCALE_BRACKET
+    core = _ScaledCore(l, cfg, C, 1, 1.0 / (base * hi * (l + 1)))
+
+    def objective(log_scale):
+        return core.spectrum(math.exp(-log_scale))[0]
+
+    bounds = (math.log(base * lo), math.log(base * hi * (l + 1)))
+    x, fx, evaluations = _bounded_brent(objective, *bounds)
+    assert (x, float(fx), evaluations) == _scipy_bounded(objective, *bounds)
+
+
+_ANALYTIC = {
+    "parabola": lambda x: (x - 0.3) * (x - 0.3),
+    "quartic": lambda x: x * x * x * x - x,
+    "cosine": math.cos,
+    "kink": lambda x: abs(x - 1.0 / 3.0),
+    "increasing": math.atan,  # minimum at the lower end
+    "flat": lambda x: 1.0,
+}
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(sorted(_ANALYTIC)), st.floats(min_value=-10.0, max_value=10.0),
+       st.floats(min_value=1e-6, max_value=20.0))
+def test_bounded_brent_steps_like_scipy_bounded(name, lo, width):
+    f = _ANALYTIC[name]
+    x, fx, evaluations = _bounded_brent(f, lo, lo + width)
+    assert (x, fx, evaluations) == _scipy_bounded(f, lo, lo + width)

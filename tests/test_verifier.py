@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hlevels import (
     NoBoundRegion,
@@ -16,6 +17,8 @@ from hlevels import (
     quantization_residual,
     verification_report,
 )
+from hlevels.harness import TABLE_STATES
+from hlevels.verifier import _BISECT_RTOL, _SCAN_LOG10_HI, _SCAN_LOG10_LO, _SCAN_POINTS
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +132,15 @@ def test_verification_report(C, D, P):
         assert 0.0 < r["r1"] < r["r2"]
         assert abs(r["residual"]) <= 1e-6
         assert abs(r["i_inf_defect"]) <= 1e-10
+
+
+def test_turning_points_agree_with_brentq(C, D, P):
+    rs = np.logspace(_SCAN_LOG10_LO, _SCAN_LOG10_HI, _SCAN_POINTS)
+    tiny = float(np.finfo(float).tiny)
+    for st in TABLE_STATES:
+        problem = _problem(C, D, P, st.k, st.l)
+        tps = find_turning_points(problem)
+        for r in (tps.r1, tps.r2):
+            i = int(np.searchsorted(rs, r)) - 1  # the scan bracket that holds r
+            reference = brentq(problem.radicand, rs[i], rs[i + 1], xtol=tiny, rtol=_BISECT_RTOL)
+            assert abs(r - reference) <= 4.0 * np.finfo(float).eps * reference, st.label
