@@ -20,7 +20,6 @@ from .errors import (
     HlevelsError,
     IllConditionedBasis,
     NoBoundRegion,
-    NoConvergence,
     ParseError,
     QuadratureFailure,
     SupercriticalCharge,

@@ -2,7 +2,7 @@
 
 Subcommands: spectrum, compare, verify, widths, salpeter, constants.
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 computational error (supercritical charge, non-convergence, ...),
+1 computational error (supercritical charge, ill-conditioned basis, ...),
 2 usage error.
 """
 
@@ -113,16 +113,11 @@ def _constants_from(args) -> Constants:
     )
 
 
-def _solver_from(args, c: Constants) -> SolverConfig:
+def _solver_from(args) -> SolverConfig:
     from .salpeter import SolverConfig
 
-    kwargs = {}
-    if getattr(args, "basis_size", None) is not None:
-        kwargs["basis_size"] = args.basis_size
-        kwargs["quad_nodes"] = max(4096, 2 * args.basis_size)
-    if getattr(args, "scale", None) is not None:
-        kwargs["scale"] = args.scale
-    return SolverConfig(**kwargs)
+    kwargs = {"basis_size": args.basis_size, "scale": args.scale}
+    return SolverConfig(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 def _emit_rows(rows, header, fmt, float_fmt="{:.8f}"):
@@ -148,7 +143,7 @@ def _cmd_spectrum(args) -> int:
     rows = []
     for st in states:
         if args.model == "schrodinger":
-            level = schrodinger_level(st.n_principal(), c, use_reduced=args.reduced_mass)
+            level = schrodinger_level(st.n_principal(), c, args.reduced_mass, args.z)
         elif args.model == "sommerfeld":
             dirac = DiracState(n=st.n_principal(), two_j=2 * st.l + 1)
             level = sommerfeld_level(dirac, args.z, c)
@@ -157,7 +152,7 @@ def _cmd_spectrum(args) -> int:
         elif args.model == "scalar":
             level = scalar_coulomb_level(st, args.z, c, use_reduced=args.reduced_mass)
         else:  # qc
-            level = qc_level(st, d, c)
+            level = qc_level(st, d, c, args.z)
         rows.append({"state": st.label, "model": args.model, "T_eV": level.value})
     _emit_rows(rows, ["state", "model", "T_eV"], args.format)
     return 0
@@ -166,7 +161,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_compare(args) -> int:
     c = _constants_from(args)
     reference = load_reference_csv(args.reference) if args.reference else builtin_reference()
-    env = Environment(constants=c, solver=_solver_from(args, c), reference=reference, z=args.z)
+    env = Environment(constants=c, solver=_solver_from(args), reference=reference, z=args.z)
     table1 = generate_table1(env=env)
     table2 = generate_table2(env=env, table1=table1)
     if args.format == "json":
@@ -206,7 +201,7 @@ def _cmd_widths(args) -> int:
     c = _constants_from(args)
     d = derive(c)
     rows = [
-        {"state": st.label, "gamma_MeV": qc_width(st, d, c)}
+        {"state": st.label, "gamma_MeV": qc_width(st, d, c, args.z)}
         for st in _split_states(args.states)
     ]
     _emit_rows(rows, ["state", "gamma_MeV"], args.format, float_fmt="{:.6f}")
@@ -217,7 +212,7 @@ def _cmd_salpeter(args) -> int:
     from .salpeter import salpeter_levels
 
     c = _constants_from(args)
-    cfg = _solver_from(args, c)
+    cfg = _solver_from(args)
     levels = salpeter_levels(_split_states(args.states), cfg, c, z=args.z)
     rows = [{"state": st.label, "T_eV": value} for st, value in levels.items()]
     _emit_rows(rows, ["state", "T_eV"], args.format)
@@ -235,7 +230,6 @@ def _cmd_constants(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--z", type=_nuclear_charge, default=1)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--me-mev", type=float, default=None)
     p.add_argument("--mp-mev", type=float, default=None)
@@ -252,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", default=_DEFAULT_LABELS)
     p.add_argument("--reduced-mass", action="store_true")
     _add_common(p)
+    p.add_argument("--z", type=_nuclear_charge, default=1)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("compare", help="regenerate the comparison tables")
@@ -259,16 +254,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis-size", type=int, default=None)
     p.add_argument("--scale", type=float, default=None)
     _add_common(p)
+    p.add_argument("--z", type=_nuclear_charge, default=1)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("verify", help="quasiclassical quantization check")
     p.add_argument("--lambda-mev", type=float, default=DEFAULT_LAMBDA_MEV)
     _add_common(p)
+    p.add_argument("--z", type=_nuclear_charge, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("widths", help="level widths Gamma = 2|M_im|")
     p.add_argument("--states", default=_DEFAULT_LABELS)
     _add_common(p)
+    p.add_argument("--z", type=_nuclear_charge, default=1)
     p.set_defaults(func=_cmd_widths)
 
     p = sub.add_parser("salpeter", help="variational Salpeter levels")
@@ -276,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis-size", type=int, default=None)
     p.add_argument("--scale", type=float, default=None)
     _add_common(p)
+    p.add_argument("--z", type=_nuclear_charge, default=1)
     p.set_defaults(func=_cmd_salpeter)
 
     p = sub.add_parser("constants", help="print the constant set in use")

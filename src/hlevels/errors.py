@@ -21,10 +21,6 @@ class IllConditionedBasis(HlevelsError):
     """Variational basis overlap matrix is numerically singular."""
 
 
-class NoConvergence(HlevelsError):
-    """Basis enlargement moved the target eigenvalue by more than the tolerance."""
-
-
 class ParseError(HlevelsError):
     """Malformed input (state label or reference CSV line)."""
 

@@ -186,7 +186,7 @@ def generate_table1(
                 if model == "kg":
                     row[model] = kg_level(st, env.z, env.constants).value
                 elif model == "qc":
-                    row[model] = qc_level(st, d, env.constants).value
+                    row[model] = qc_level(st, d, env.constants, env.z).value
                 elif model == "ss":
                     row[model] = ss_values.get(st)
                 elif model == "nist":
@@ -229,7 +229,7 @@ def generate_table2(env: Environment = None, table1: list[dict] = None) -> list[
             published = _PUBLISHED_EPS[model][i]
             ok = abs(eps - published) <= _EPS_MATCH_RTOL * abs(published)
             row["flags"][model] = "MATCH" if ok else "MISMATCH"
-        m_im = abs(qc_complex_mass(st, d, env.constants).im)
+        m_im = abs(qc_complex_mass(st, d, env.constants, z=env.z).im)
         row["m_im"] = m_im
         ok = abs(m_im - _PUBLISHED_M_IM[i]) <= _EPS_MATCH_RTOL * _PUBLISHED_M_IM[i]
         row["flags"]["m_im"] = "MATCH" if ok else "MISMATCH"

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .constants import Constants, derive
-from .errors import IllConditionedBasis, NoConvergence, SupercriticalCharge
+from .errors import IllConditionedBasis, SupercriticalCharge
 from .spectra import EnergyLevel, QuantumState
 
 _P_MAX_MEV = 1.0e6
@@ -50,7 +50,8 @@ class SolverConfig:
         if self.scale is not None and self.scale <= 0.0:
             raise ValueError("scale must be positive")
         if self.quad_nodes < 2 * self.basis_size:
-            raise ValueError("quad_nodes must be at least 2*basis_size")
+            raise ValueError(f"basis_size {self.basis_size} needs quad_nodes >= "
+                             f"{2 * self.basis_size}, have {self.quad_nodes}")
 
 
 @dataclass(frozen=True)
@@ -283,7 +284,26 @@ def _bounded_brent(f, lo: float, hi: float):
     return xf, fx, num
 
 
-def _levels_ev(l, count, cfg: SolverConfig, c: Constants, z: int) -> list[float]:
+def lowest_levels(
+    l: int,
+    count: int,
+    cfg: SolverConfig,
+    c: Constants,
+    z: int = 1,
+) -> list[EnergyLevel]:
+    """The lowest `count` binding energies for orbital momentum l, in eV.
+
+    With scale_search enabled each target level is minimized over the log
+    of the variational length parameter by bounded Brent search.  Raises
+    SupercriticalCharge when z*alpha exceeds the critical coupling of
+    channel l.
+    """
+    if l < 0:
+        raise ValueError(f"l must be >= 0, got {l}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if count > cfg.basis_size // 2:
+        raise ValueError("count must not exceed basis_size/2")
     za, bound = z * c.alpha, _critical_coupling(l)
     if za > bound:
         raise SupercriticalCharge(
@@ -292,56 +312,21 @@ def _levels_ev(l, count, cfg: SolverConfig, c: Constants, z: int) -> list[float]
         )
     base = _resolve_scale(cfg, c, z)
     if not cfg.scale_search:
-        vals = _ScaledCore(l, cfg, c, z, 1.0 / base).spectrum(1.0 / base)
-        return [float(v) * c.ev_per_mev for v in vals[:count]]
-    lo, hi = _SCALE_BRACKET
-    # optimal length scales like N/(mu*Z*alpha): widen the bracket with index
-    core = _ScaledCore(l, cfg, c, z, 1.0 / (base * hi * (count + l)))
-    out = []
-    for index in range(count):
-        _, best, _ = _bounded_brent(
-            lambda log_scale: core.spectrum(math.exp(-log_scale))[index],
-            math.log(base * lo),
-            math.log(base * hi * (index + l + 1)),
-        )
-        out.append(float(best) * c.ev_per_mev)
-    return out
-
-
-def lowest_levels(
-    l: int,
-    count: int,
-    cfg: SolverConfig,
-    c: Constants,
-    z: int = 1,
-    tol: float = None,
-) -> list[EnergyLevel]:
-    """The lowest `count` binding energies for orbital momentum l, in eV.
-
-    With scale_search enabled each target level is minimized over the log
-    of the variational length parameter by bounded Brent search.  If tol is
-    given, the basis is doubled once and NoConvergence is raised when any
-    returned level moves by more than tol (eV).  Raises SupercriticalCharge
-    when z*alpha exceeds the critical coupling of channel l.
-    """
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if count > cfg.basis_size // 2:
-        raise ValueError("count must not exceed basis_size/2")
-    values = _levels_ev(l, count, cfg, c, z)
-    if tol is not None:
-        doubled = _levels_ev(l, count, replace(cfg, basis_size=2 * cfg.basis_size,
-                                               quad_nodes=max(cfg.quad_nodes, 4 * cfg.basis_size)),
-                             c, z)
-        for i, (v, vd) in enumerate(zip(values, doubled)):
-            if abs(v - vd) > tol:
-                raise NoConvergence(
-                    f"level {i} moved by {abs(v - vd):.3e} eV on basis doubling (tol {tol})"
-                )
+        values = _ScaledCore(l, cfg, c, z, 1.0 / base).spectrum(1.0 / base)[:count]
+    else:
+        lo, hi = _SCALE_BRACKET
+        # optimal length scales like N/(mu*Z*alpha): widen the bracket with index
+        core = _ScaledCore(l, cfg, c, z, 1.0 / (base * hi * (count + l)))
+        values = [
+            _bounded_brent(
+                lambda log_scale: core.spectrum(math.exp(-log_scale))[index],
+                math.log(base * lo),
+                math.log(base * hi * (index + l + 1)),
+            )[1]
+            for index in range(count)
+        ]
     return [
-        EnergyLevel(value=v, model="salpeter", state=QuantumState(k=i, l=l))
+        EnergyLevel(value=float(v) * c.ev_per_mev, model="salpeter", state=QuantumState(k=i, l=l))
         for i, v in enumerate(values)
     ]
 
@@ -376,9 +361,8 @@ def convergence_report(
     rows = []
     previous = None
     for nb in sizes:
-        config = replace(cfg, basis_size=nb, quad_nodes=max(cfg.quad_nodes, 2 * nb),
-                         scale_search=False)
-        value = _levels_ev(l, level_index + 1, config, c, z)[level_index]
+        config = replace(cfg, basis_size=nb, scale_search=False)
+        value = lowest_levels(l, level_index + 1, config, c, z)[level_index].value
         delta = None if previous is None else value - previous
         rows.append({"basis_size": nb, "value_ev": value, "delta_ev": delta})
         previous = value

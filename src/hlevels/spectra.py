@@ -110,9 +110,9 @@ def _vector_coulomb_ev(n: int, h: float, z: int, c: Constants) -> float:
     return _binding_ev(c.m_e, x, c.ev_per_mev)
 
 
-def _qc_parts(n_principal: float, d: DerivedMasses, c: Constants):
-    """(v, e2, b, |eps^2|) for the quasiclassical quadratic at given N."""
-    v = c.alpha / (2.0 * n_principal)
+def _qc_parts(n_principal: float, d: DerivedMasses, c: Constants, z: int):
+    """(v, e2, b, |eps^2|) for the quasiclassical quadratic at given N and Z."""
+    v = z * c.alpha / (2.0 * n_principal)
     e2 = d.m_a**2 * (1.0 - v * v)
     b = d.m_a * d.m_minus * v
     return v, e2, b, math.hypot(e2, b)
@@ -120,12 +120,14 @@ def _qc_parts(n_principal: float, d: DerivedMasses, c: Constants):
 
 # --- level operations --------------------------------------------------------
 
-def schrodinger_level(n_principal: int, c: Constants, use_reduced: bool = False) -> EnergyLevel:
-    """Nonrelativistic level -m*alpha^2/(2 N^2) in eV."""
+def schrodinger_level(
+    n_principal: int, c: Constants, use_reduced: bool = False, z: int = 1
+) -> EnergyLevel:
+    """Nonrelativistic level -m*(Z*alpha)^2/(2 N^2) in eV."""
     if n_principal < 1:
         raise ValueError(f"N must be >= 1, got {n_principal}")
     m = derive(c).mu if use_reduced else c.m_e
-    value = -m * c.alpha**2 / (2.0 * n_principal**2) * c.ev_per_mev
+    value = -m * (z * c.alpha) ** 2 / (2.0 * n_principal**2) * c.ev_per_mev
     return EnergyLevel(value=value, model="schrodinger", state=n_principal)
 
 
@@ -158,19 +160,23 @@ def scalar_coulomb_level(
     return EnergyLevel(value=value, model="scalar", state=s)
 
 
-def qc_squared_mass(s: QuantumState, d: DerivedMasses, c: Constants) -> tuple[float, float]:
+def qc_squared_mass(
+    s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1
+) -> tuple[float, float]:
     """Both real roots (s_plus, s_minus) of the eigenmass quadratic, in MeV^2.
 
     s_pm = 2 e_N^2 +- 2 sqrt(e_N^4 + b^2); the minus root is written as
     -2 b^2/(|eps^2| + e_N^2) to avoid subtracting near-equal quantities.
     """
-    _, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c)
+    _, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c, z)
     s_plus = 2.0 * (e2 + abs_eps2)
     s_minus = -2.0 * b * b / (abs_eps2 + e2)
     return s_plus, s_minus
 
 
-def qc_root_gaps(s: QuantumState, d: DerivedMasses, c: Constants) -> tuple[float, float, float]:
+def qc_root_gaps(
+    s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1
+) -> tuple[float, float, float]:
     """(s_plus, s_plus - m_minus^2, m_plus^2 - s_plus) in stable closed form.
 
     The upper gap rationalizes to
@@ -178,7 +184,7 @@ def qc_root_gaps(s: QuantumState, d: DerivedMasses, c: Constants) -> tuple[float
     which is O(v^2) with no cancellation; the lower gap follows from
     m_plus^2 - m_minus^2 = 4 m_e m_p.
     """
-    v, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c)
+    v, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c, z)
     s_plus = 2.0 * (e2 + abs_eps2)
     gap_high = (8.0 * d.m_a**2 * v * v * c.m_e * c.m_p) / (d.m_a**2 * (1.0 + v * v) + abs_eps2)
     gap_low = 4.0 * c.m_e * c.m_p - gap_high
@@ -186,20 +192,20 @@ def qc_root_gaps(s: QuantumState, d: DerivedMasses, c: Constants) -> tuple[float
 
 
 def qc_complex_mass(
-    s: QuantumState, d: DerivedMasses, c: Constants, antiparticle: bool = False
+    s: QuantumState, d: DerivedMasses, c: Constants, antiparticle: bool = False, z: int = 1
 ) -> ComplexMass:
     """Complex eigenmass M_re + i*M_im of the state (or its negative branch).
 
     M_im^2 = 2(|eps^2| - Re eps^2) is evaluated as 2 b^2/(|eps^2| + e_N^2).
     """
-    _, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c)
+    _, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c, z)
     re = math.sqrt(2.0 * (abs_eps2 + e2))
     im = b * math.sqrt(2.0 / (abs_eps2 + e2))
     sign = -1 if antiparticle else 1
     return ComplexMass(re=sign * re, im=sign * im, sign=sign)
 
 
-def qc_level(s: QuantumState, d: DerivedMasses, c: Constants) -> EnergyLevel:
+def qc_level(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1) -> EnergyLevel:
     """Quasiclassical binding energy |M_re| - m_plus in eV.
 
     Evaluated as (M_re^2 - m_plus^2)/(M_re + m_plus), where the numerator
@@ -207,16 +213,16 @@ def qc_level(s: QuantumState, d: DerivedMasses, c: Constants) -> EnergyLevel:
     so the ~1e-8 relative difference of the masses is never formed by
     subtracting the masses themselves.  Depends on (k, l) only through N.
     """
-    v, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c)
+    v, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c, z)
     re = math.sqrt(2.0 * (abs_eps2 + e2))
     num = 2.0 * b * b / (abs_eps2 + e2) - d.m_plus**2 * v * v
     value = num / (re + d.m_plus) * c.ev_per_mev
     return EnergyLevel(value=value, model="qc", state=s)
 
 
-def qc_width(s: QuantumState, d: DerivedMasses, c: Constants) -> float:
+def qc_width(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1) -> float:
     """Total width Gamma = 2|M_im| in MeV."""
-    return qc_complex_mass(s, d, c).width()
+    return qc_complex_mass(s, d, c, z=z).width()
 
 
 def critical_z(model: str, angular, c: Constants) -> int:

@@ -157,8 +157,9 @@ def analytic_i_infinity(
     c: Constants,
     gap_low: float = None,
     gap_high: float = None,
+    z: int = 1,
 ) -> float:
-    """Residue contribution pi*alpha*m_plus*sqrt((s-m_minus^2)/(s*(m_plus^2-s))).
+    """Residue contribution pi*Z*alpha*m_plus*sqrt((s-m_minus^2)/(s*(m_plus^2-s))).
 
     gap_low/gap_high may supply s - m_minus^2 and m_plus^2 - s in closed
     form when s is a quadratic root (the direct differences would be
@@ -170,17 +171,17 @@ def analytic_i_infinity(
         gap_high = d.m_plus**2 - s
     if gap_low <= 0.0 or gap_high <= 0.0:
         raise ValueError(f"s = {s} outside the open interval (m_minus^2, m_plus^2)")
-    return math.pi * c.alpha * d.m_plus * math.sqrt(gap_low / (s * gap_high))
+    return math.pi * (z * c.alpha) * d.m_plus * math.sqrt(gap_low / (s * gap_high))
 
 
 def _check_state(st: QuantumState, d: DerivedMasses, c: Constants, params: PotentialParams):
     """Root, turning points, residual and I_infinity defect of one state."""
-    s_plus, gap_low, gap_high = qc_root_gaps(st, d, c)
+    s_plus, gap_low, gap_high = qc_root_gaps(st, d, c, params.z)
     problem = RadialProblem(s=s_plus, l=st.l, params=params, derived=d, s_gap_high=gap_high)
     tps = find_turning_points(problem)
     integral = phase_integral(problem, tps)
     target = math.pi * (st.k + 0.5)
-    i_inf = analytic_i_infinity(s_plus, d, c, gap_low=gap_low, gap_high=gap_high)
+    i_inf = analytic_i_infinity(s_plus, d, c, gap_low, gap_high, params.z)
     return {
         "s_plus": s_plus,
         "r1": tps.r1,

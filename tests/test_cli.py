@@ -144,6 +144,44 @@ def test_verify_exit_zero(capsys):
     assert "within" in err
 
 
+def test_verify_at_z_2_uses_the_z_2_root(capsys):
+    # the Z=1 root in the Z=2 potential gives a max residual of 10
+    code, out, err = run(capsys, "verify", "--z", "2", "--format", "csv")
+    assert code == 0
+    assert "within" in err
+
+
+def test_constants_refuses_z(capsys):
+    code, out, err = run(capsys, "constants", "--z", "2")
+    assert (code, out) == (2, "")
+    assert "--z" in err
+
+
+# (argv, column, power): the nonrelativistic level scales as Z^2 and the
+# quasiclassical width 2|M_im| ~ m_minus Z alpha/N as Z
+@pytest.mark.parametrize("argv, column, power", [
+    *[(("spectrum", "--model", model), "T_eV", 2)
+      for model in ("schrodinger", "sommerfeld", "kg", "scalar", "qc")],
+    (("widths",), "gamma_MeV", 1),
+])
+def test_z_reaches_every_model(capsys, argv, column, power):
+    def values(z):
+        code, out, _ = run(capsys, *argv, "--z", z, "--format", "json")
+        assert code == 0
+        return {r["state"]: r[column] for r in json.loads(out)}
+
+    one, two = values("1"), values("2")
+    assert list(one) == list(two)
+    for state in one:
+        assert abs(two[state] / (2**power * one[state]) - 1.0) < 1e-3, state
+
+
+def test_cli_reports_the_grid_a_basis_needs(capsys):
+    code, out, err = run(capsys, "salpeter", "--basis-size", "3000", "--states", "1S")
+    assert (code, out) == (1, "")
+    assert err == "error: basis_size 3000 needs quad_nodes >= 6000, have 4096\n"
+
+
 def test_constants_json_with_override(capsys):
     code, out, _ = run(capsys, "constants", "--format", "json", "--alpha", "7.0e-3")
     assert code == 0

@@ -9,7 +9,6 @@ from scipy.optimize import minimize_scalar
 from hlevels import (
     Constants,
     IllConditionedBasis,
-    NoConvergence,
     QuantumState,
     SolverConfig,
     SupercriticalCharge,
@@ -57,8 +56,12 @@ def test_config_validation():
         SolverConfig(basis_size=2)
     with pytest.raises(ValueError):
         SolverConfig(scale=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"basis_size 64 needs quad_nodes >= 128, have 100"):
         SolverConfig(basis_size=64, quad_nodes=100)
+    # the default grid carries basis sizes up to half its nodes, no further
+    SolverConfig(basis_size=2048)
+    with pytest.raises(ValueError, match=r"basis_size 2049 needs quad_nodes >= 4098, have 4096"):
+        SolverConfig(basis_size=2049)
 
 
 def test_matrices_symmetric_and_orthonormal(C):
@@ -149,11 +152,6 @@ def test_count_validation(C):
         lowest_levels(0, 9, small_cfg(), C)
     with pytest.raises(ValueError):
         lowest_levels(-1, 1, small_cfg(scale_search=True), C)
-
-
-def test_no_convergence_with_tight_tolerance(C):
-    with pytest.raises(NoConvergence):
-        lowest_levels(0, 1, small_cfg(basis_size=8), C, tol=1e-14)
 
 
 def test_nonphysical_scale_is_flagged(C):

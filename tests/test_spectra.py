@@ -40,6 +40,22 @@ QC_ORACLE = {
 }
 
 
+# Z=1 quasiclassical floats as computed before Z entered the model, one per
+# principal number: (level eV, M_re, M_im, s_plus, m_plus^2 - s_plus)
+QC_Z1_FROZEN = {
+    1: (-13.598106612793657, 938.7830666479933, 3.421586670053713, 881313.6462250107,
+        0.025531344638033433),
+    2: (-3.399560503770537, 938.7830768465395, 1.7107933164415146, 881313.6653734557,
+        0.006382899750867053),
+    3: (-1.5109185655415798, 938.7830787351814, 1.1405288753331626, 881313.6689195058,
+        0.002836849567637039),
+    4: (-0.8498922416296468, 938.7830793962078, 0.8553966558975604, 881313.6701606265,
+        0.00159572891222607),
+    5: (-0.5439311971281684, 938.7830797021688, 0.6843173244950209, 881313.6707350886,
+        0.0010212668090678492),
+}
+
+
 def _equal_mass_derived(m=0.5109989461):
     return DerivedMasses(m_plus=2 * m, m_minus=0.0, m_a=m, mu=m / 2)
 
@@ -230,10 +246,37 @@ def test_qc_degeneracy(C, D):
 def test_qc_nonrelativistic_limit():
     c = Constants(alpha=1e-4)
     d = derive(c)
-    for n in (1, 2, 3):
-        expected = -d.mu * c.alpha**2 / (2.0 * n * n) * c.ev_per_mev
-        ratio = qc_level(QuantumState(n - 1, 0), d, c).value / expected
-        assert ratio == pytest.approx(1.0, abs=1e-4)
+    for z in (1, 2, 10):
+        for n in (1, 2, 3):
+            expected = -d.mu * (z * c.alpha) ** 2 / (2.0 * n * n) * c.ev_per_mev
+            ratio = qc_level(QuantumState(n - 1, 0), d, c, z).value / expected
+            assert ratio == pytest.approx(1.0, abs=1e-4)
+
+
+def test_qc_z1_values_are_unchanged(C, D):
+    for n, frozen in QC_Z1_FROZEN.items():
+        st_ = QuantumState(n - 1, 0)
+        m = qc_complex_mass(st_, D, C)
+        s_plus, _, gap_high = qc_root_gaps(st_, D, C)
+        assert (qc_level(st_, D, C).value, m.re, m.im, s_plus, gap_high) == frozen
+
+
+def test_schrodinger_scales_exactly_as_z_squared(C):
+    for n in (1, 2, 7):
+        assert schrodinger_level(n, C, z=2).value == 4.0 * schrodinger_level(n, C).value
+        assert schrodinger_level(n, C, True, 3).value == pytest.approx(
+            9.0 * schrodinger_level(n, C, use_reduced=True).value, rel=1e-15)
+
+
+def _qc_naive_dd(st_, d, c, z=1):
+    """Naive M_re - m_plus in eV, evaluated in ~32-digit arithmetic."""
+    v = DD.of(z * c.alpha) / (2.0 * st_.n_principal())
+    m_a, m_minus, m_plus = DD.of(d.m_a), DD.of(d.m_minus), DD.of(d.m_plus)
+    e2 = m_a * m_a * (DD.of(1.0) - v * v)
+    b = m_a * m_minus * v
+    abs_eps2 = (e2 * e2 + b * b).sqrt()
+    re = (DD.of(2.0) * (abs_eps2 + e2)).sqrt()
+    return ((re - m_plus) * c.ev_per_mev).to_float()
 
 
 def test_qc_width(C, D):
@@ -276,17 +319,17 @@ def test_stable_binding_identity():
 
 
 def test_qc_level_matches_double_double_naive(C, D):
-    # naive M_re - m_plus evaluated in ~32-digit arithmetic
     for st_ in TABLE_STATES:
-        n = st_.n_principal()
-        v = DD.of(C.alpha) / (2.0 * n)
-        m_a, m_minus, m_plus = DD.of(D.m_a), DD.of(D.m_minus), DD.of(D.m_plus)
-        e2 = m_a * m_a * (DD.of(1.0) - v * v)
-        b = m_a * m_minus * v
-        abs_eps2 = (e2 * e2 + b * b).sqrt()
-        re = (DD.of(2.0) * (abs_eps2 + e2)).sqrt()
-        naive = (re - m_plus) * C.ev_per_mev
-        assert abs(qc_level(st_, D, C).value - naive.to_float()) <= 1e-10
+        assert abs(qc_level(st_, D, C).value - _qc_naive_dd(st_, D, C)) <= 1e-10
+
+
+@given(st.integers(min_value=1, max_value=80), st.sampled_from(TABLE_STATES))
+def test_qc_level_matches_double_double_naive_at_every_z(C, D, z, st_):
+    naive = _qc_naive_dd(st_, D, C, z)
+    assert abs(qc_level(st_, D, C, z).value - naive) <= 1e-10 * z * z
+    # the nonrelativistic limit scales as Z^2; the rest is O((Z alpha)^2)
+    ratio = naive / (z * z * _qc_naive_dd(st_, D, C))
+    assert abs(ratio - 1.0) <= (z * C.alpha) ** 2
 
 
 def test_naive_double_precision_is_worse(C, D):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from hlevels import (
@@ -106,6 +107,31 @@ def test_analytic_i_infinity_at_roots(C, D):
         s_plus, gap_low, gap_high = qc_root_gaps(st, D, C)
         value = analytic_i_infinity(s_plus, D, C, gap_low=gap_low, gap_high=gap_high)
         assert value == pytest.approx(2.0 * math.pi * st.n_principal(), rel=1e-10)
+
+
+# The quasiclassical closed form drops an O((Z alpha)^2) term of the
+# quantization condition, so the residual grows as Z^2: 5.39e-8 to 5.86e-8
+# times Z^2 over Z = 1..80, which keeps `verify`'s 1e-5 limit up to Z = 13.
+_RESIDUAL_PER_Z2 = 6.0e-8
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(min_value=1, max_value=80))
+@example(1)
+@example(13)
+@example(80)
+def test_verifier_residual_grows_as_z_squared(C, D, z):
+    rows = verification_report(TABLE_STATES, D, C, default_params(C, z=z))
+    assert max(abs(r["residual"]) for r in rows) <= _RESIDUAL_PER_Z2 * z * z
+    # I_inf = 2 pi N holds to rounding at every Z
+    assert max(abs(r["i_inf_defect"]) for r in rows) <= 2.0 * np.finfo(float).eps
+
+
+def test_verify_limit_holds_up_to_z_13(C, D):
+    worst = {z: max(abs(r["residual"])
+                    for r in verification_report(TABLE_STATES, D, C, default_params(C, z=z)))
+             for z in (13, 14)}
+    assert worst[13] <= 1e-5 < worst[14]
 
 
 def test_analytic_i_infinity_limits(C, D):
