@@ -205,7 +205,7 @@ def generate_table2(env: Environment = None, table1: list[dict] = None) -> list[
     Each row carries eps_kg/eps_ss/eps_qc (percent), m_im (MeV), and a
     'flags' dict marking every cell MATCH or MISMATCH against the
     published number at 2% relative tolerance (UNAVAILABLE when the
-    underlying energy could not be computed).
+    underlying energy or m_im could not be computed).
     """
     env = env or Environment()
     if table1 is None:
@@ -229,10 +229,15 @@ def generate_table2(env: Environment = None, table1: list[dict] = None) -> list[
             published = _PUBLISHED_EPS[model][i]
             ok = abs(eps - published) <= _EPS_MATCH_RTOL * abs(published)
             row["flags"][model] = "MATCH" if ok else "MISMATCH"
-        m_im = abs(qc_complex_mass(st, d, env.constants, z=env.z).im)
-        row["m_im"] = m_im
-        ok = abs(m_im - _PUBLISHED_M_IM[i]) <= _EPS_MATCH_RTOL * _PUBLISHED_M_IM[i]
-        row["flags"]["m_im"] = "MATCH" if ok else "MISMATCH"
+        try:
+            m_im = abs(qc_complex_mass(st, d, env.constants, z=env.z).im)
+        except HlevelsError:
+            row["m_im"] = None
+            row["flags"]["m_im"] = "UNAVAILABLE"
+        else:
+            row["m_im"] = m_im
+            ok = abs(m_im - _PUBLISHED_M_IM[i]) <= _EPS_MATCH_RTOL * _PUBLISHED_M_IM[i]
+            row["flags"]["m_im"] = "MATCH" if ok else "MISMATCH"
         rows.append(row)
     return rows
 

@@ -13,6 +13,13 @@ The basis is scale covariant, phi_n(a*u; a) = a^(-3/2) phi_n(u; 1) with
 u = p/a, so the overlap does not depend on the scale a and the Coulomb
 matrix is linear in a.  A scale trial therefore costs one kinetic Gram
 product and one symmetric eigensolve on a basis evaluated once.
+
+The momentum grid spans 40 octaves below the basis and reaches
+p = 1e6 MeV above it, and the overlap check uses every node.  The kinetic
+product does not: nodes that far out add less than 1e-20 of trace(K), so
+each core keeps only the one contiguous slice of nodes that carries
+kinetic weight at either end of its scale range (a quarter to three fifths
+of the grid).  What it drops is below round-off.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ _SCALE_BRACKET = (0.05, 4.0)  # scale search range, in multiples of the base sca
 _SCALE_XATOL = 1.0e-5  # absolute tolerance of the search in log(scale)
 _SCALE_MAX_EVALS = 500
 _OVERLAP_DEFECT_MAX = 1.0e-3  # max|S - I| of the quadrature overlap
+_KINETIC_SCREEN = 1.0e-20  # a node's least share of trace(K)/basis_size to enter the product
 
 
 @dataclass(frozen=True)
@@ -145,23 +153,34 @@ def _coulomb_matrix(nb: int, l: int, a: float, alpha: float, z: int) -> np.ndarr
 class _ScaledCore:
     """Scale-free operator parts for one orbital momentum and basis size.
 
-    Holds the unit-scale basis on a grid in u = p/a reaching p = _P_MAX_MEV
-    at the smallest inverse scale a_min to be tried, the overlap S, the
-    unit-scale Coulomb matrix V1 and L^-1 with S = L L^T.  S is the identity
-    analytically; a grid that aliases the basis moves it away, and the
-    variational search then finds spurious low levels, so such a grid
-    raises IllConditionedBasis.
+    Built for inverse scales a in a_range = (a_lo, a_hi).  The overlap S is
+    formed on the full grid in u = p/a, which reaches p = _P_MAX_MEV at
+    a_lo.  S is the identity analytically; a grid that aliases the basis
+    moves it away, and the variational search then finds spurious low
+    levels, so such a grid raises IllConditionedBasis.  The core also holds
+    the unit-scale Coulomb matrix V1 and L^-1 with S = L L^T.
+
+    The kinetic product runs over one contiguous slice of the grid.  Node i
+    adds g_i*tau(a*u_i) to trace(K(a)), with g_i = w_i u_i^2 sum_n phi_n(u_i)^2,
+    and the slice spans every node whose share exceeds
+    _KINETIC_SCREEN * trace(K(a)) / basis_size at a_lo or at a_hi.  Nodes
+    outside it change no matrix element beyond round-off, and skipping them
+    halves the cost of a trial or better.  kinetic(a) refuses an a outside
+    the range the slice was chosen for.
     """
 
-    def __init__(self, l, cfg: SolverConfig, c: Constants, z: int, a_min: float, masses=None):
+    def __init__(self, l, cfg: SolverConfig, c: Constants, z: int, a_range, masses=None):
         if l < 0:
             raise ValueError(f"l must be >= 0, got {l}")
         self.masses = masses if masses is not None else (c.m_e, c.m_p)
-        p, w = _momentum_grid(a_min, cfg.quad_nodes)
-        self.u = p / a_min
-        self.phi = _momentum_basis(self.u, cfg.basis_size, l, 1.0)
-        self.phi_w = self.phi * (w / a_min * self.u * self.u)
-        overlap = self.phi_w @ self.phi.T
+        self.a_range = a_range
+        a_lo = a_range[0]
+        p, w = _momentum_grid(a_lo, cfg.quad_nodes)
+        u = p / a_lo
+        weight = w / a_lo * u * u
+        phi = _momentum_basis(u, cfg.basis_size, l, 1.0)
+        phi_w = phi * weight
+        overlap = phi_w @ phi.T
         self.overlap = 0.5 * (overlap + overlap.T)
         defect = float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size))))
         if not defect <= _OVERLAP_DEFECT_MAX:  # NaN fails too
@@ -169,14 +188,31 @@ class _ScaledCore:
                 f"overlap deviates from the identity by {defect:.3e} "
                 f"(limit {_OVERLAP_DEFECT_MAX:g}); the momentum grid is too coarse for the basis"
             )
+        g = np.einsum("ij,ij->j", phi, phi_w)
+        del phi_w
+        kept = np.zeros(u.size, dtype=bool)
+        for a in a_range:
+            share = g * self._tau_sum(a * u)
+            kept |= share > _KINETIC_SCREEN * share.sum() / cfg.basis_size
+        first, last = np.flatnonzero(kept)[[0, -1]]
+        self.kept = slice(int(first), int(last) + 1)
+        self.u = u[self.kept]
+        self.weight = weight[self.kept]
+        self.phi = np.ascontiguousarray(phi[:, self.kept])
         self.v1 = _coulomb_matrix(cfg.basis_size, l, 1.0, c.alpha, z)
         self.l_inv = np.linalg.inv(np.linalg.cholesky(self.overlap))
 
+    def _tau_sum(self, p: np.ndarray) -> np.ndarray:
+        return sum(_tau(p, m) for m in self.masses)
+
     def kinetic(self, a: float) -> np.ndarray:
         """Binding kinetic matrix (rest mass removed) at inverse scale a."""
-        p = a * self.u
-        k = (self.phi_w * sum(_tau(p, m) for m in self.masses)) @ self.phi.T
-        return 0.5 * (k + k.T)
+        a_lo, a_hi = self.a_range
+        if not a_lo <= a <= a_hi:
+            raise ValueError(f"inverse scale {a!r} MeV is outside the range "
+                             f"[{a_lo!r}, {a_hi!r}] MeV this core was screened for")
+        b = self.phi * np.sqrt(self.weight * self._tau_sum(a * self.u))
+        return b @ b.T  # B B^T is exactly symmetric
 
     def spectrum(self, a: float) -> np.ndarray:
         """Ascending binding eigenvalues (MeV) at inverse scale a."""
@@ -193,7 +229,7 @@ def build_matrices(
 ) -> SSOperatorMatrices:
     """Operator matrices for orbital momentum l at the configured scale."""
     a = 1.0 / _resolve_scale(cfg, c, z)
-    core = _ScaledCore(l, cfg, c, z, a, masses)
+    core = _ScaledCore(l, cfg, c, z, (a, a), masses)
     kinetic_binding = core.kinetic(a)
     return SSOperatorMatrices(
         kinetic=kinetic_binding + sum(core.masses) * core.overlap,
@@ -312,11 +348,13 @@ def lowest_levels(
         )
     base = _resolve_scale(cfg, c, z)
     if not cfg.scale_search:
-        values = _ScaledCore(l, cfg, c, z, 1.0 / base).spectrum(1.0 / base)[:count]
+        a = 1.0 / base
+        values = _ScaledCore(l, cfg, c, z, (a, a)).spectrum(a)[:count]
     else:
         lo, hi = _SCALE_BRACKET
         # optimal length scales like N/(mu*Z*alpha): widen the bracket with index
-        core = _ScaledCore(l, cfg, c, z, 1.0 / (base * hi * (count + l)))
+        a_range = (1.0 / (base * hi * (count + l)), 1.0 / (base * lo))
+        core = _ScaledCore(l, cfg, c, z, a_range)
         values = [
             _bounded_brent(
                 lambda log_scale: core.spectrum(math.exp(-log_scale))[index],

@@ -111,8 +111,17 @@ def _vector_coulomb_ev(n: int, h: float, z: int, c: Constants) -> float:
 
 
 def _qc_parts(n_principal: float, d: DerivedMasses, c: Constants, z: int):
-    """(v, e2, b, |eps^2|) for the quasiclassical quadratic at given N and Z."""
+    """(v, e2, b, |eps^2|) for the quasiclassical quadratic at given N and Z.
+
+    Past v = 1, e_N^2 = m_a^2 (1 - v^2) turns negative and the quadratic
+    has no bound root, so v >= 1 raises SupercriticalCharge.
+    """
     v = z * c.alpha / (2.0 * n_principal)
+    if v >= 1.0:
+        raise SupercriticalCharge(
+            f"Z*alpha/(2N) = {v:.6f} >= 1 at N = {n_principal:g}; "
+            f"no quasiclassical level (Z={z})"
+        )
     e2 = d.m_a**2 * (1.0 - v * v)
     b = d.m_a * d.m_minus * v
     return v, e2, b, math.hypot(e2, b)

@@ -176,6 +176,37 @@ def test_z_reaches_every_model(capsys, argv, column, power):
         assert abs(two[state] / (2**power * one[state]) - 1.0) < 1e-3, state
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--model", "qc", "--z", "275", "--states", "1S"),  # printed -512866 eV
+    ("widths", "--z", "100000", "--states", "1S"),  # printed Gamma = 685063 MeV
+])
+def test_quasiclassical_level_past_v_1_exit_code(capsys, argv):
+    # v = Z*alpha/(2N) >= 1 leaves the quasiclassical quadratic without a bound root
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "no quasiclassical level" in err
+
+
+def test_quasiclassical_level_just_below_v_1_prints(capsys):
+    code, out, _ = run(capsys, "spectrum", "--model", "qc", "--z", "274", "--states", "1S",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["T_eV"] == pytest.approx(-511003.76608531, rel=1e-10)
+
+
+def test_compare_past_v_1_empties_the_quasiclassical_cells(capsys):
+    code, out, _ = run(capsys, "compare", "--z", "275", "--basis-size", "16", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    # v >= 1 only at N = 1, so only 1S loses its quasiclassical cells
+    energies = {r["state"]: r for r in doc["table"]["energies"]}
+    accuracies = {r["state"]: r for r in doc["table"]["accuracies"]}
+    assert [s for s, r in energies.items() if r["qc"] is None] == ["1S"]
+    assert [s for s, r in accuracies.items() if r["m_im"] is None] == ["1S"]
+    assert accuracies["1S"]["flags"] == {k: "UNAVAILABLE" for k in ("kg", "ss", "qc", "m_im")}
+    assert accuracies["2S"]["flags"]["m_im"] == "MISMATCH"
+
+
 def test_cli_reports_the_grid_a_basis_needs(capsys):
     code, out, err = run(capsys, "salpeter", "--basis-size", "3000", "--states", "1S")
     assert (code, out) == (1, "")

@@ -20,9 +20,11 @@ from hlevels import (
 )
 from hlevels.harness import TABLE_STATES
 from hlevels.salpeter import (
+    _KINETIC_SCREEN,
     _SCALE_BRACKET,
     _ScaledCore,
     _bounded_brent,
+    _coulomb_matrix,
     _momentum_basis,
     _momentum_grid,
     _resolve_scale,
@@ -199,10 +201,66 @@ def test_core_spectrum_matches_generalized_eigh(C, l, bohr_multiple):
     m = build_matrices(l, cfg, C)
     reference = eigh(m.kinetic_binding + m.potential, m.overlap, eigvals_only=True)
     a = 1.0 / cfg.scale
-    got = _ScaledCore(l, cfg, C, 1, a).spectrum(a)
+    got = _ScaledCore(l, cfg, C, 1, (a, a)).spectrum(a)
     # eigenvalues near zero are held to 1e-10 of the Rydberg energy instead
     rydberg = derive(C).mu * C.alpha**2 / 2.0
     np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-10 * rydberg)
+
+
+def test_core_refuses_a_scale_outside_its_screened_range(C):
+    a = 1.0 / _resolve_scale(SolverConfig(), C)
+    core = _ScaledCore(0, small_cfg(), C, 1, (a, 2.0 * a))
+    for inside in (a, 1.5 * a, 2.0 * a):
+        assert np.all(np.isfinite(core.spectrum(inside)))
+    for outside in (0.5 * a, 2.5 * a):
+        with pytest.raises(ValueError, match=r"outside the range \[.+, .+\] MeV"):
+            core.spectrum(outside)
+
+
+def _tau_sum(p, masses):
+    return sum(_tau(p, m) for m in masses)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([16, 32, 64, 128]), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=1, max_value=87), st.floats(min_value=0.05, max_value=4.0),
+       st.booleans())
+def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, searched):
+    cfg = SolverConfig(basis_size=nb)
+    base = _resolve_scale(cfg, C, z)
+    a = 1.0 / (base * bohr_multiple)
+    lo, hi = _SCALE_BRACKET
+    count = min(4, nb // 2)
+    # the range lowest_levels screens for when it searches, or the one scale
+    a_range = (1.0 / (base * hi * (count + l)), 1.0 / (base * lo)) if searched else (a, a)
+    core = _ScaledCore(l, cfg, C, z, a_range)
+
+    # oracle: the plain weighted product over every node of the grid
+    p, w = _momentum_grid(a_range[0], cfg.quad_nodes)
+    u = p / a_range[0]
+    weight = w / a_range[0] * u * u
+    phi = _momentum_basis(u, nb, l, 1.0)
+    masses = (C.m_e, C.m_p)
+    kinetic = (phi * (weight * _tau_sum(a * u, masses))) @ phi.T
+    overlap = (phi * weight) @ phi.T
+    l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (overlap + overlap.T)))
+    h = kinetic + a * _coulomb_matrix(nb, l, 1.0, C.alpha, z)
+    full = np.linalg.eigvalsh(l_inv @ h @ l_inv.T)
+    rydberg = D.mu * C.alpha**2 / 2.0
+    got = core.spectrum(a)
+    assert np.max(np.abs(got[:count] - full[:count])) <= 1e-10 * z * z * rydberg
+
+    # the kept nodes are one contiguous slice holding every node above the screen
+    assert core.kept.step is None
+    np.testing.assert_array_equal(core.u, u[core.kept])
+    g = np.einsum("ij,ij->j", phi, phi * weight)
+    above = np.zeros(u.size, dtype=bool)
+    for end in a_range:
+        share = g * _tau_sum(end * u, masses)
+        above |= share > _KINETIC_SCREEN * share.sum() / nb
+    first, last = np.flatnonzero(above)[[0, -1]]
+    assert (core.kept.start, core.kept.stop) == (first, last + 1)
+    assert core.kept.stop - core.kept.start < u.size
 
 
 def test_basis_256_is_ill_conditioned(C):
@@ -260,7 +318,7 @@ def test_scale_search_steps_like_scipy_bounded(C, l):
     cfg = SolverConfig()
     base = _resolve_scale(cfg, C)
     lo, hi = _SCALE_BRACKET
-    core = _ScaledCore(l, cfg, C, 1, 1.0 / (base * hi * (l + 1)))
+    core = _ScaledCore(l, cfg, C, 1, (1.0 / (base * hi * (l + 1)), 1.0 / (base * lo)))
 
     def objective(log_scale):
         return core.spectrum(math.exp(-log_scale))[0]
