@@ -37,8 +37,7 @@ from .spectra import EnergyLevel, QuantumState
 _P_MAX_MEV = 1.0e6
 _P_MIN_OCTAVES = 40  # lower grid edge at scale * 2^-40
 _SCALE_BRACKET = (0.05, 4.0)  # scale search range, in multiples of the base scale
-_SCALE_XATOL = 1.0e-5  # absolute tolerance of the search in log(scale)
-_SCALE_MAX_EVALS = 500
+_SCALE_XATOL = 1.0e-5  # the search stops at a bracket 2 * _SCALE_XATOL wide in log(scale)
 _OVERLAP_DEFECT_MAX = 1.0e-3  # max|S - I| of the quadrature overlap
 _KINETIC_SCREEN = 1.0e-20  # a node's least share of trace(K)/basis_size to enter the product
 
@@ -249,75 +248,27 @@ def _critical_coupling(l: int) -> float:
     return 2.0 * math.exp(2.0 * (math.lgamma((l + 2) / 2) - math.lgamma((l + 1) / 2)))
 
 
-def _bounded_brent(f, lo: float, hi: float):
-    """Minimum of f on [lo, hi] by Brent's method: (x, f(x), evaluations).
+def _golden_section_min(f, lo: float, hi: float):
+    """Minimum of f on [lo, hi] by golden-section search: (x, f(x)).
 
-    Golden-section steps with parabolic interpolation (R. P. Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 5), in the
-    step sequence of SciPy's minimize_scalar(method="bounded"), so that it
-    visits the same points: absolute tolerance _SCALE_XATOL in x, at most
-    _SCALE_MAX_EVALS evaluations.
+    Two interior points split the bracket in the golden ratio; each step
+    drops the part beyond the worse one and reuses the better one, so one
+    evaluation shrinks the bracket by 1/phi (J. Kiefer, Proc. AMS 4, 502
+    (1953)).  It stops once the bracket is narrower than 2 * _SCALE_XATOL.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + _SCALE_XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 2.0 * _SCALE_XATOL:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = f(x1)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + _SCALE_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _SCALE_MAX_EVALS:
-            break
-    return xf, fx, num
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def lowest_levels(
@@ -330,7 +281,8 @@ def lowest_levels(
     """The lowest `count` binding energies for orbital momentum l, in eV.
 
     With scale_search enabled each target level is minimized over the log
-    of the variational length parameter by bounded Brent search.  Raises
+    of the variational length parameter by golden-section search: 28 or 29
+    evaluations per level for k + l + 1 up to 81.  Raises
     SupercriticalCharge when z*alpha exceeds the critical coupling of
     channel l.
     """
@@ -356,7 +308,7 @@ def lowest_levels(
         a_range = (1.0 / (base * hi * (count + l)), 1.0 / (base * lo))
         core = _ScaledCore(l, cfg, c, z, a_range)
         values = [
-            _bounded_brent(
+            _golden_section_min(
                 lambda log_scale: core.spectrum(math.exp(-log_scale))[index],
                 math.log(base * lo),
                 math.log(base * hi * (index + l + 1)),

@@ -31,10 +31,6 @@ class QuantumState:
     def n_principal(self) -> int:
         return self.k + self.l + 1
 
-    def qc_principal(self) -> float:
-        # (k+1/2) + (l+1/2); identical to n_principal for integer k, l >= 0
-        return (self.k + 0.5) + (self.l + 0.5)
-
     @property
     def label(self) -> str:
         if self.l >= len(SPECTROSCOPIC_LETTERS):

@@ -58,16 +58,13 @@ class RadialProblem:
         object.__setattr__(self, "m_l", angular_eigenmomentum(self.l))
 
     def radicand(self, r: float) -> float:
-        # s - M(r)^2 = (s - m_plus^2) - W*(2 m_plus + W)
-        w = potential_r(r, self.params)
-        s_minus_m2 = -self.s_gap_high - w * (2.0 * self.derived.m_plus + w)
-        return self.k_factor * s_minus_m2 - (self.m_l / r) ** 2
+        return self.p_squared(r) - (self.m_l / r) ** 2
 
     def p_squared(self, r: float) -> float:
-        """Squared relative momentum (s - m_minus^2)(s - M(r)^2)/(4s)."""
+        """Squared relative momentum K(s)*[s - M(r)^2]."""
+        # s - M(r)^2 = (s - m_plus^2) - W*(2 m_plus + W)
         w = potential_r(r, self.params)
-        s_minus_m2 = -self.s_gap_high - w * (2.0 * self.derived.m_plus + w)
-        return (self.s - self.derived.m_minus**2) * s_minus_m2 / (4.0 * self.s)
+        return self.k_factor * (-self.s_gap_high - w * (2.0 * self.derived.m_plus + w))
 
 
 @dataclass(frozen=True)

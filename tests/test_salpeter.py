@@ -22,9 +22,10 @@ from hlevels.harness import TABLE_STATES
 from hlevels.salpeter import (
     _KINETIC_SCREEN,
     _SCALE_BRACKET,
+    _SCALE_XATOL,
     _ScaledCore,
-    _bounded_brent,
     _coulomb_matrix,
+    _golden_section_min,
     _momentum_basis,
     _momentum_grid,
     _resolve_scale,
@@ -308,40 +309,64 @@ def test_aliased_grid_raises_instead_of_a_spurious_level(C, cfg, l):
         lowest_levels(l, 1, cfg, C)
 
 
-def _scipy_bounded(f, lo, hi):
-    best = minimize_scalar(f, bounds=(lo, hi), method="bounded")
-    return float(best.x), float(best.fun), best.nfev
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_STOP_WIDTH = 2.0 * _SCALE_XATOL
+
+
+def _golden_section_evaluations(lo, hi):
+    return max(0, math.ceil(math.log((hi - lo) / _STOP_WIDTH, _PHI))) + 2
 
 
 @pytest.mark.parametrize("l", range(5))
-def test_scale_search_steps_like_scipy_bounded(C, l):
+def test_scale_search_agrees_with_scipy_bounded(C, l):
+    # scipy's bounded Brent search on the same objective is the oracle; the two
+    # stop at different points, so they agree to the search noise, not to the bit
     cfg = SolverConfig()
     base = _resolve_scale(cfg, C)
     lo, hi = _SCALE_BRACKET
     core = _ScaledCore(l, cfg, C, 1, (1.0 / (base * hi * (l + 1)), 1.0 / (base * lo)))
+    calls = []
 
     def objective(log_scale):
+        calls.append(log_scale)
         return core.spectrum(math.exp(-log_scale))[0]
 
     bounds = (math.log(base * lo), math.log(base * hi * (l + 1)))
-    x, fx, evaluations = _bounded_brent(objective, *bounds)
-    assert (x, float(fx), evaluations) == _scipy_bounded(objective, *bounds)
+    _, fx = _golden_section_min(objective, *bounds)
+    assert len(calls) == _golden_section_evaluations(*bounds)
+    assert len(calls) in (28, 29)
+    searched = lowest_levels(l, 1, cfg, C)[0].value
+    assert searched == float(fx) * C.ev_per_mev
+    oracle = minimize_scalar(objective, bounds=bounds, method="bounded").fun
+    assert abs(searched - float(oracle) * C.ev_per_mev) <= 1e-10
 
 
+# f and its minimizer on the real line; the minimizer on [lo, hi] is that point
+# clamped to the bracket (None: every point is a minimizer)
 _ANALYTIC = {
-    "parabola": lambda x: (x - 0.3) * (x - 0.3),
-    "quartic": lambda x: x * x * x * x - x,
-    "cosine": math.cos,
-    "kink": lambda x: abs(x - 1.0 / 3.0),
-    "increasing": math.atan,  # minimum at the lower end
-    "flat": lambda x: 1.0,
+    "parabola": (lambda x: (x - 0.3) * (x - 0.3), 0.3),
+    "quartic": (lambda x: x * x * x * x - x, 0.25 ** (1.0 / 3.0)),
+    "kink": (lambda x: abs(x - 1.0 / 3.0), 1.0 / 3.0),
+    "increasing": (math.atan, -math.inf),
+    "decreasing": (lambda x: -math.atan(x), math.inf),
+    "flat": (lambda x: 1.0, None),
 }
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=200)
 @given(st.sampled_from(sorted(_ANALYTIC)), st.floats(min_value=-10.0, max_value=10.0),
        st.floats(min_value=1e-6, max_value=20.0))
-def test_bounded_brent_steps_like_scipy_bounded(name, lo, width):
-    f = _ANALYTIC[name]
-    x, fx, evaluations = _bounded_brent(f, lo, lo + width)
-    assert (x, fx, evaluations) == _scipy_bounded(f, lo, lo + width)
+def test_golden_section_finds_known_minimizers(name, lo, width):
+    f, unconstrained = _ANALYTIC[name]
+    hi = lo + width
+    calls = []
+    x, fx = _golden_section_min(lambda t: calls.append(t) or f(t), lo, hi)
+    assert lo <= x <= hi and fx == f(x)
+    assert len(calls) <= _golden_section_evaluations(lo, hi)
+    if unconstrained is None:
+        return
+    x_star = min(max(unconstrained, lo), hi)
+    assert abs(x - x_star) <= _STOP_WIDTH
+    for end in (lo, hi):
+        if abs(end - x_star) > 2.0 * _STOP_WIDTH:  # an end next to x* may beat x
+            assert fx <= f(end)

@@ -82,7 +82,6 @@ def test_quantum_state_validation():
 def test_principal_numbers_agree(k, l):
     st_ = QuantumState(k, l)
     assert st_.n_principal() == k + l + 1
-    assert st_.qc_principal() == st_.n_principal()
 
 
 def test_dirac_state_validation():

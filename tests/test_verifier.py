@@ -42,6 +42,7 @@ def test_angular_eigenmomentum():
 def test_radial_problem_kinematic_factor(C, D, P):
     p = _problem(C, D, P)
     assert 0.0 < p.k_factor <= 0.25
+    assert p.k_factor == pytest.approx((p.s - D.m_minus**2) / (4.0 * p.s), rel=1e-14)
     # K = (s - m_minus^2)/(4s), hence p^2(r) = radicand(r) + (m_l/r)^2
     for r in (50.0, 100.0, 400.0):
         assert p.p_squared(r) == pytest.approx(
