@@ -159,6 +159,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.z > 1 and not args.reference:
+        print(f"error: --z {args.z} needs --reference (built-in is hydrogen)", file=sys.stderr)
+        return 2
     c = _constants_from(args)
     reference = load_reference_csv(args.reference) if args.reference else builtin_reference()
     env = Environment(constants=c, solver=_solver_from(args), reference=reference, z=args.z)
@@ -250,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("compare", help="regenerate the comparison tables")
-    p.add_argument("--reference", default=None, help="reference CSV (default: builtin)")
+    p.add_argument("--reference", default=None, help="reference CSV (default: builtin, Z=1 only)")
     p.add_argument("--basis-size", type=int, default=None)
     p.add_argument("--scale", type=float, default=None)
     _add_common(p)

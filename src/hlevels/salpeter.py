@@ -38,6 +38,7 @@ _P_MAX_MEV = 1.0e6
 _P_MIN_OCTAVES = 40  # lower grid edge at scale * 2^-40
 _SCALE_BRACKET = (0.05, 4.0)  # scale search range, in multiples of the base scale
 _SCALE_XATOL = 1.0e-5  # the search stops at a bracket 2 * _SCALE_XATOL wide in log(scale)
+_SCALE_RTOL = 3.0e-12  # ... or once its values agree to this, below the 1S noise
 _OVERLAP_DEFECT_MAX = 1.0e-3  # max|S - I| of the quadrature overlap
 _KINETIC_SCREEN = 1.0e-20  # a node's least share of trace(K)/basis_size to enter the product
 
@@ -47,7 +48,7 @@ class SolverConfig:
     """Basis size, variational length scale (1/MeV) and quadrature order."""
 
     basis_size: int = 64
-    scale: float = None  # default: Bohr length 1/(mu*Z*alpha)
+    scale: float | None = None  # default: Bohr length 1/(mu*Z*alpha)
     quad_nodes: int = 4096
     scale_search: bool = True
 
@@ -224,7 +225,7 @@ def build_matrices(
     cfg: SolverConfig,
     c: Constants,
     z: int = 1,
-    masses: tuple = None,
+    masses: tuple | None = None,
 ) -> SSOperatorMatrices:
     """Operator matrices for orbital momentum l at the configured scale."""
     a = 1.0 / _resolve_scale(cfg, c, z)
@@ -254,18 +255,24 @@ def _golden_section_min(f, lo: float, hi: float):
     Two interior points split the bracket in the golden ratio; each step
     drops the part beyond the worse one and reuses the better one, so one
     evaluation shrinks the bracket by 1/phi (J. Kiefer, Proc. AMS 4, 502
-    (1953)).  It stops once the bracket is narrower than 2 * _SCALE_XATOL.
+    (1953)).  The bound needs the least value, not where it lies, so it stops
+    once both ends and both interior points agree with the best value to a
+    relative _SCALE_RTOL (an end's value is known once an interior point
+    becomes it; a NaN never agrees), or else at a bracket 2 * _SCALE_XATOL wide.
     """
     shrink = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > 2.0 * _SCALE_XATOL:
+    f_lo = f_hi = math.inf
+    while hi - lo > 2.0 * _SCALE_XATOL and not all(
+        v - min(f1, f2) <= _SCALE_RTOL * abs(min(f1, f2)) for v in (f_lo, f1, f2, f_hi)
+    ):
         if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
+            hi, f_hi, x2, f2 = x2, f2, x1, f1
             x1 = hi - shrink * (hi - lo)
             f1 = f(x1)
         else:
-            lo, x1, f1 = x1, x2, f2
+            lo, f_lo, x1, f1 = x1, f1, x2, f2
             x2 = lo + shrink * (hi - lo)
             f2 = f(x2)
     return (x1, f1) if f1 <= f2 else (x2, f2)
@@ -281,10 +288,10 @@ def lowest_levels(
     """The lowest `count` binding energies for orbital momentum l, in eV.
 
     With scale_search enabled each target level is minimized over the log
-    of the variational length parameter by golden-section search: 28 or 29
-    evaluations per level for k + l + 1 up to 81.  Raises
-    SupercriticalCharge when z*alpha exceeds the critical coupling of
-    channel l.
+    of the variational length parameter by golden-section search until the
+    level stops moving: 5 to 24 evaluations per level in the ten-state
+    table, at most 29 for k + l + 1 up to 81.  Raises SupercriticalCharge
+    when z*alpha exceeds the critical coupling of channel l.
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")

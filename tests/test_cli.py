@@ -194,8 +194,21 @@ def test_quasiclassical_level_just_below_v_1_prints(capsys):
     assert json.loads(out)[0]["T_eV"] == pytest.approx(-511003.76608531, rel=1e-10)
 
 
-def test_compare_past_v_1_empties_the_quasiclassical_cells(capsys):
-    code, out, _ = run(capsys, "compare", "--z", "275", "--basis-size", "16", "--format", "json")
+def _reference_csv(tmp_path) -> str:
+    """The built-in reference written as a --reference file."""
+    from hlevels import builtin_reference
+
+    ref = tmp_path / "ref.csv"
+    lines = ["state,k,l,T_eV"]
+    for st_, v in builtin_reference().entries.items():
+        lines.append(f"{st_.label},{st_.k},{st_.l},{v}")
+    ref.write_text("\n".join(lines) + "\n")
+    return str(ref)
+
+
+def test_compare_past_v_1_empties_the_quasiclassical_cells(capsys, tmp_path):
+    code, out, _ = run(capsys, "compare", "--z", "275", "--reference", _reference_csv(tmp_path),
+                       "--basis-size", "16", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     # v >= 1 only at N = 1, so only 1S loses its quasiclassical cells
@@ -230,15 +243,7 @@ def test_salpeter_subcommand(capsys):
 
 
 def test_compare_with_custom_reference(capsys, tmp_path):
-    ref = tmp_path / "ref.csv"
-    lines = ["state,k,l,T_eV"]
-    from hlevels import builtin_reference
-    from hlevels.harness import TABLE_STATES
-
-    for st_, v in builtin_reference().entries.items():
-        lines.append(f"{st_.label},{st_.k},{st_.l},{v}")
-    ref.write_text("\n".join(lines) + "\n")
-    code, out, _ = run(capsys, "compare", "--reference", str(ref),
+    code, out, _ = run(capsys, "compare", "--reference", _reference_csv(tmp_path),
                        "--basis-size", "16", "--format", "json")
     assert code == 0
     doc = json.loads(out)
@@ -248,13 +253,24 @@ def test_compare_with_custom_reference(capsys, tmp_path):
     assert first["qc"] == pytest.approx(-13.59810653, abs=5e-5)
 
 
+def test_compare_past_z_1_needs_a_reference(capsys, tmp_path):
+    # the built-in reference is hydrogen's; against it every Z=2 cell read MISMATCH
+    code, out, err = run(capsys, "compare", "--z", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--reference" in err
+    code, _, _ = run(capsys, "compare", "--z", "2", "--reference", _reference_csv(tmp_path),
+                     "--basis-size", "16")
+    assert code == 0
+
+
 def _cell(value, spec: str) -> str:
     return "" if value is None else format(value, spec)
 
 
 @pytest.mark.parametrize("z", ["1", "100"])  # at Z=100 the S-wave kg cells are empty
-def test_compare_formats_agree_cell_by_cell(capsys, z):
-    out = {fmt: run(capsys, "compare", "--basis-size", "16", "--z", z, "--format", fmt)[1]
+def test_compare_formats_agree_cell_by_cell(capsys, tmp_path, z):
+    ref = () if z == "1" else ("--reference", _reference_csv(tmp_path))
+    out = {fmt: run(capsys, "compare", "--basis-size", "16", "--z", z, *ref, "--format", fmt)[1]
            for fmt in ("text", "csv", "json")}
     doc = json.loads(out["json"])
     energies, accuracies = doc["table"]["energies"], doc["table"]["accuracies"]

@@ -22,6 +22,7 @@ from hlevels.harness import TABLE_STATES
 from hlevels.salpeter import (
     _KINETIC_SCREEN,
     _SCALE_BRACKET,
+    _SCALE_RTOL,
     _SCALE_XATOL,
     _ScaledCore,
     _coulomb_matrix,
@@ -333,18 +334,33 @@ def test_scale_search_agrees_with_scipy_bounded(C, l):
 
     bounds = (math.log(base * lo), math.log(base * hi * (l + 1)))
     _, fx = _golden_section_min(objective, *bounds)
-    assert len(calls) == _golden_section_evaluations(*bounds)
-    assert len(calls) in (28, 29)
+    # the values stop the search first here; the bracket width bounds the count
+    assert len(calls) <= _golden_section_evaluations(*bounds)
     searched = lowest_levels(l, 1, cfg, C)[0].value
     assert searched == float(fx) * C.ev_per_mev
     oracle = minimize_scalar(objective, bounds=bounds, method="bounded").fun
     assert abs(searched - float(oracle) * C.ev_per_mev) <= 1e-10
 
 
+@pytest.mark.parametrize("z", [1, 10, 60, 87])
+@pytest.mark.parametrize("nb", [32, 64])
+def test_value_stop_keeps_the_levels_of_the_width_stop(C, monkeypatch, nb, z):
+    # stopping once the values agree moves no level by more than 1e-11 relative
+    # against the search that runs until the bracket is 2e-5 wide
+    cfg, states = SolverConfig(basis_size=nb), [QuantumState(2, l) for l in range(5)]
+    searched = salpeter_levels(states, cfg, C, z=z)
+    monkeypatch.setattr("hlevels.salpeter._SCALE_RTOL", 0.0)
+    width_only = salpeter_levels(states, cfg, C, z=z)
+    for state, value in width_only.items():
+        assert abs(searched[state] - value) <= 1e-11 * abs(value), state
+
+
 # f and its minimizer on the real line; the minimizer on [lo, hi] is that point
 # clamped to the bracket (None: every point is a minimizer)
 _ANALYTIC = {
     "parabola": (lambda x: (x - 0.3) * (x - 0.3), 0.3),
+    # as flat near its minimum as a level in log(scale): the values stop this search
+    "offset parabola": (lambda x: 1e-6 * (x - 0.3) * (x - 0.3) - 1.0, 0.3),
     "quartic": (lambda x: x * x * x * x - x, 0.25 ** (1.0 / 3.0)),
     "kink": (lambda x: abs(x - 1.0 / 3.0), 1.0 / 3.0),
     "increasing": (math.atan, -math.inf),
@@ -366,7 +382,25 @@ def test_golden_section_finds_known_minimizers(name, lo, width):
     if unconstrained is None:
         return
     x_star = min(max(unconstrained, lo), hi)
+    if name == "offset parabola" and lo < x_star < hi:  # the values may stop it first
+        assert fx - f(x_star) <= 2.0 * _SCALE_RTOL * abs(f(x_star))
+        return
     assert abs(x - x_star) <= _STOP_WIDTH
     for end in (lo, hi):
         if abs(end - x_star) > 2.0 * _STOP_WIDTH:  # an end next to x* may beat x
             assert fx <= f(end)
+
+
+def test_golden_section_value_stop():
+    lo, hi = -10.0, 10.0
+    f, _ = _ANALYTIC["offset parabola"]
+    calls = []
+    x, fx = _golden_section_min(lambda t: calls.append(t) or f(t), lo, hi)
+    assert len(calls) < _golden_section_evaluations(lo, hi)
+    assert abs(x - 0.3) > _STOP_WIDTH  # the values agreed before the bracket closed in
+    assert fx - f(0.3) <= 2.0 * _SCALE_RTOL * abs(f(0.3))
+    # a NaN never agrees, and a monotone f leaves one end unevaluated: both run to the width
+    for g in (lambda t: math.nan, math.atan, lambda t: -math.atan(t), lambda t: 1.0 + 1e-13 * t):
+        calls.clear()
+        _golden_section_min(lambda t: calls.append(t) or g(t), lo, hi)
+        assert len(calls) == _golden_section_evaluations(lo, hi)
