@@ -22,6 +22,7 @@ from .errors import (
     NoBoundRegion,
     ParseError,
     QuadratureFailure,
+    ScaleSearchFailure,
     SupercriticalCharge,
 )
 from .harness import (

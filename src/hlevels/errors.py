@@ -17,6 +17,10 @@ class QuadratureFailure(HlevelsError):
     """Adaptive quadrature did not reach the requested accuracy."""
 
 
+class ScaleSearchFailure(HlevelsError):
+    """A variational level's minimum over the length scale lies past the widest search bracket."""
+
+
 class IllConditionedBasis(HlevelsError):
     """Variational basis overlap matrix is numerically singular."""
 

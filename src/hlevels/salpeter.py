@@ -24,21 +24,25 @@ of the grid).  What it drops is below round-off.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .constants import Constants, derive
-from .errors import IllConditionedBasis, SupercriticalCharge
+from .errors import IllConditionedBasis, ScaleSearchFailure, SupercriticalCharge
+from .quadrature import gauss_legendre
 from .spectra import EnergyLevel, QuantumState
 
 _P_MAX_MEV = 1.0e6
 _P_MIN_OCTAVES = 40  # lower grid edge at scale * 2^-40
-_SCALE_BRACKET = (0.05, 4.0)  # scale search range, in multiples of the base scale
+_SCALE_BRACKET = (0.05, 4.0)  # first scale search range, in multiples of the base scale
 _SCALE_XATOL = 1.0e-5  # the search stops at a bracket 2 * _SCALE_XATOL wide in log(scale)
 _SCALE_RTOL = 3.0e-12  # ... or once its values agree to this, below the 1S noise
+_SCALE_GUARD = 0.1  # a minimizer this close to an end in log(scale) may lie past it
+_SCALE_WIDEN = 2.0  # such an end moves out by this factor in scale ...
+_SCALE_WIDENINGS = 10  # ... at most this many times
 _OVERLAP_DEFECT_MAX = 1.0e-3  # max|S - I| of the quadrature overlap
 _KINETIC_SCREEN = 1.0e-20  # a node's least share of trace(K)/basis_size to enter the product
 
@@ -106,8 +110,14 @@ def _momentum_basis(p: np.ndarray, nb: int, l: int, a: float) -> np.ndarray:
     cg[0] = 1.0
     if nb > 1:
         cg[1] = 2.0 * lam * y
+    # in place, in the float order of ((2(j+lam) * y) * C_j - (j+2lam-1) * C_{j-1}) / (j+1)
+    lower = np.empty(p.size)
     for j in range(1, nb - 1):
-        cg[j + 1] = (2.0 * (j + lam) * y * cg[j] - (j + 2.0 * lam - 1.0) * cg[j - 1]) / (j + 1.0)
+        np.multiply(y, 2.0 * (j + lam), out=cg[j + 1])
+        cg[j + 1] *= cg[j]
+        np.multiply(cg[j - 1], j + 2.0 * lam - 1.0, out=lower)
+        cg[j + 1] -= lower
+        cg[j + 1] /= j + 1.0
     prefactor = (
         math.sqrt(2.0 / math.pi)
         * 2.0 ** (2 * l + 1)
@@ -119,7 +129,8 @@ def _momentum_basis(p: np.ndarray, nb: int, l: int, a: float) -> np.ndarray:
     # in place, in the float order of (j+l+1) * C_j * prefactor, cumsum, norms
     cg *= (np.arange(nb) + l + 1)[:, None]
     cg *= prefactor
-    np.cumsum(cg, axis=0, out=cg)
+    for j in range(1, nb):  # the sums of np.cumsum(axis=0), five times faster row by row
+        cg[j] += cg[j - 1]
     cg *= _basis_norms(nb, l, a)[:, None]
     return cg
 
@@ -128,7 +139,7 @@ def _momentum_grid(a: float, total_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on octave panels of a rational p-grid."""
     n_panels = _P_MIN_OCTAVES + max(1, int(math.ceil(math.log2(_P_MAX_MEV / a))))
     per_panel = max(8, total_nodes // n_panels)
-    x, w = leggauss(per_panel)
+    x, w = gauss_legendre(per_panel)
     edges = a * 2.0 ** np.arange(-_P_MIN_OCTAVES, n_panels - _P_MIN_OCTAVES + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -191,7 +202,7 @@ class _ScaledCore:
         g = np.einsum("ij,ij->j", phi, phi_w)
         del phi_w
         kept = np.zeros(u.size, dtype=bool)
-        for a in a_range:
+        for a in set(a_range):  # one pass at a fixed scale
             share = g * self._tau_sum(a * u)
             kept |= share > _KINETIC_SCREEN * share.sum() / cfg.basis_size
         first, last = np.flatnonzero(kept)[[0, -1]]
@@ -278,6 +289,38 @@ def _golden_section_min(f, lo: float, hi: float):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def _widened_min(f, lo: float, hi: float, label: str):
+    """Minimum of f on a bracket that widens off an end the minimizer sits on: (x, f(x), lo, hi).
+
+    A minimizer within _SCALE_GUARD of an end is no evidence of a minimum
+    inside; that end moves out by log(_SCALE_WIDEN) and the search runs again
+    on the wider bracket (the bracketing step of Press et al., Numerical
+    Recipes, 3rd ed., sec. 10.1).  The guard is wide because of the value
+    stop: on a flat slope toward an end, noise can move both ends of a
+    bracket 1e-4 wide before the values agree, but to move an end 0.1 in it
+    must beat the slope across a bracket at least 0.1 wide.  Past
+    _SCALE_WIDENINGS moves of one end it raises ScaleSearchFailure naming
+    that end, so a level the bracket cannot hold is never printed.
+    """
+    step, start, moves = math.log(_SCALE_WIDEN), (lo, hi), [0, 0]
+    while True:
+        x, fx = _golden_section_min(f, lo, hi)
+        if x - lo < _SCALE_GUARD:
+            edge = 0
+        elif hi - x < _SCALE_GUARD:
+            edge = 1
+        else:
+            return x, fx, lo, hi
+        if moves[edge] == _SCALE_WIDENINGS:
+            raise ScaleSearchFailure(
+                f"{label}: the scale search still ends on its {('lower', 'upper')[edge]} edge, "
+                f"{math.exp(x):.6g} 1/MeV, after widening it "
+                f"{_SCALE_WIDEN**_SCALE_WIDENINGS:g}-fold"
+            )
+        moves[edge] += 1
+        lo, hi = start[0] - moves[0] * step, start[1] + moves[1] * step
+
+
 def lowest_levels(
     l: int,
     count: int,
@@ -290,8 +333,10 @@ def lowest_levels(
     With scale_search enabled each target level is minimized over the log
     of the variational length parameter by golden-section search until the
     level stops moving: 5 to 24 evaluations per level in the ten-state
-    table, at most 29 for k + l + 1 up to 81.  Raises SupercriticalCharge
-    when z*alpha exceeds the critical coupling of channel l.
+    table, at most 29 for k + l + 1 up to 81.  A bracket end that holds the
+    minimizer widens (_widened_min), as the S wave's lower end does from
+    Z = 73 on.  Raises SupercriticalCharge when z*alpha exceeds the critical
+    coupling of channel l.
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
@@ -313,12 +358,23 @@ def lowest_levels(
         lo, hi = _SCALE_BRACKET
         # optimal length scales like N/(mu*Z*alpha): widen the bracket with index
         a_range = (1.0 / (base * hi * (count + l)), 1.0 / (base * lo))
+        reach = _SCALE_WIDEN**_SCALE_WIDENINGS
         core = _ScaledCore(l, cfg, c, z, a_range)
+
+        def level(index, log_scale):
+            nonlocal core
+            a, (a_lo, a_hi) = math.exp(-log_scale), core.a_range
+            if not a_lo <= a <= a_hi:  # a widened bracket: screen once for its widest reach
+                core = _ScaledCore(l, cfg, c, z, (a_range[0] / reach if a < a_lo else a_lo,
+                                                  a_range[1] * reach if a > a_hi else a_hi))
+            return core.spectrum(a)[index]
+
         values = [
-            _golden_section_min(
-                lambda log_scale: core.spectrum(math.exp(-log_scale))[index],
+            _widened_min(
+                functools.partial(level, index),
                 math.log(base * lo),
                 math.log(base * hi * (index + l + 1)),
+                QuantumState(k=index, l=l).label,
             )[1]
             for index in range(count)
         ]

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .constants import Constants, DerivedMasses
 from .errors import NoBoundRegion, QuadratureFailure
 from .potential import PotentialParams, potential_r
+from .quadrature import gauss_legendre
 from .spectra import QuantumState, qc_root_gaps
 
 _SCAN_POINTS = 3000
@@ -133,7 +133,7 @@ def phase_integral(
     previous = None
     n = 32
     while n <= max_nodes:
-        x, w = leggauss(n)
+        x, w = gauss_legendre(n)
         theta = (math.pi / 4.0) * (x + 1.0)
         r = tps.r1 + d * np.sin(theta) ** 2
         q = np.array([max(p.radicand(ri), 0.0) for ri in r])

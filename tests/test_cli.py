@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial.legendre import leggauss
 
 import hlevels
-from hlevels import ParseError, QuantumState
-from hlevels.cli import main, parse_state_label
+from hlevels import ParseError, QuantumState, cli
+from hlevels.cli import BLAS_THREAD_VARIABLES, main, parse_state_label
 
 
 def run(capsys, *argv):
@@ -144,6 +145,15 @@ def test_verify_exit_zero(capsys):
     assert "within" in err
 
 
+def test_verify_json_does_not_depend_on_the_cached_rule(capsys, monkeypatch):
+    # the shared Gauss-Legendre rules give the bytes of a fresh leggauss per call
+    assert main(["verify", "--format", "json"]) == 0
+    cached = capsys.readouterr().out
+    monkeypatch.setattr("hlevels.verifier.gauss_legendre", leggauss)
+    assert main(["verify", "--format", "json"]) == 0
+    assert capsys.readouterr().out == cached
+
+
 def test_verify_at_z_2_uses_the_z_2_root(capsys):
     # the Z=1 root in the Z=2 potential gives a max residual of 10
     code, out, err = run(capsys, "verify", "--z", "2", "--format", "csv")
@@ -226,6 +236,14 @@ def test_cli_reports_the_grid_a_basis_needs(capsys):
     assert err == "error: basis_size 3000 needs quad_nodes >= 6000, have 4096\n"
 
 
+def test_salpeter_refuses_a_level_past_the_widest_bracket(capsys):
+    # a search scale 3700 Bohr lengths off puts 1S past the bracket's 1024-fold widening;
+    # the search that did not widen printed 1S = -4.578 eV with exit 0
+    code, out, err = run(capsys, "salpeter", "--states", "1S", "--scale", "1e6")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 1S: the scale search still ends on its lower edge, ")
+
+
 def test_constants_json_with_override(capsys):
     code, out, _ = run(capsys, "constants", "--format", "json", "--alpha", "7.0e-3")
     assert code == 0
@@ -304,15 +322,69 @@ def _child_env(**extra) -> dict:
     return env
 
 
-def _compare_json(omp_threads: str) -> bytes:
-    proc = subprocess.run([sys.executable, "-m", "hlevels.cli", "compare", "--format", "json"],
-                          capture_output=True, env=_child_env(OMP_NUM_THREADS=omp_threads),
-                          timeout=300, check=True)
-    return proc.stdout
+# runs the module as `python -m hlevels.cli` does, then reports numpy's OpenBLAS threads
+_CLI_THREADS_PROBE = """
+import ctypes, pathlib, runpy, sys
+sys.argv = ["hlevels", *sys.argv[1:]]
+try:
+    runpy.run_module("hlevels.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+import numpy
+threads = "unknown"
+for lib in (pathlib.Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            threads = fn()
+            break
+print(threads, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _compare_json(**threads) -> tuple:
+    """(stdout, BLAS threads) of `compare --format json` with only the given thread variables."""
+    env = {k: v for k, v in _child_env(**threads).items()
+           if k not in BLAS_THREAD_VARIABLES or k in threads}
+    proc = subprocess.run([sys.executable, "-c", _CLI_THREADS_PROBE, "compare", "--format", "json"],
+                          capture_output=True, env=env, timeout=300, check=True)
+    return proc.stdout, proc.stderr.decode().strip()
 
 
 def test_compare_json_is_independent_of_blas_threads():
-    assert _compare_json("1") == _compare_json("2")
+    default, one, two = (_compare_json(), _compare_json(OMP_NUM_THREADS="1"),
+                         _compare_json(OMP_NUM_THREADS="2"))
+    assert default[0] == one[0] == two[0]
+    if "unknown" in (default[1], two[1]):
+        pytest.skip("numpy's BLAS is not an OpenBLAS it ships")
+    # the entry runs the default at one thread and leaves the user's two alone
+    assert (default[1], one[1], two[1]) == ("1", "1", str(min(2, os.cpu_count())))
+
+
+@pytest.mark.parametrize("chosen", [{}, {"OMP_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "2"},
+                                    {"MKL_NUM_THREADS": "4"}], ids=["none", "omp", "openblas", "mkl"])
+def test_entry_sets_one_blas_thread_unless_the_user_chose(monkeypatch, chosen):
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in chosen.items():
+        monkeypatch.setenv(name, value)
+    seen = {}
+    monkeypatch.setattr(cli, "main", lambda argv=None: seen.update(
+        {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}) or 7)
+    assert cli.entry() == 7
+    expected = chosen or {"OMP_NUM_THREADS": "1"}
+    assert seen == {name: expected.get(name) for name in BLAS_THREAD_VARIABLES}
+
+
+def test_main_leaves_the_environment_unchanged(capsys, monkeypatch):
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    assert main(["compare", "--basis-size", "16", "--format", "json"]) == 0
+    assert dict(os.environ) == before
 
 
 _CLOSED_FORM_PROBE = """

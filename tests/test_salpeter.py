@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh
 from scipy.optimize import minimize_scalar
+from scipy.special import eval_gegenbauer
 
 from hlevels import (
     Constants,
     IllConditionedBasis,
     QuantumState,
+    ScaleSearchFailure,
     SolverConfig,
     SupercriticalCharge,
     build_matrices,
@@ -22,15 +24,20 @@ from hlevels.harness import TABLE_STATES
 from hlevels.salpeter import (
     _KINETIC_SCREEN,
     _SCALE_BRACKET,
+    _SCALE_GUARD,
     _SCALE_RTOL,
+    _SCALE_WIDEN,
+    _SCALE_WIDENINGS,
     _SCALE_XATOL,
     _ScaledCore,
+    _basis_norms,
     _coulomb_matrix,
     _golden_section_min,
     _momentum_basis,
     _momentum_grid,
     _resolve_scale,
     _tau,
+    _widened_min,
 )
 
 # `hlevels compare --format json` SS column (default SolverConfig) as solved
@@ -273,7 +280,9 @@ def test_basis_256_is_ill_conditioned(C):
 
 @pytest.mark.parametrize("z", [1, 2, 20, 40])
 def test_scale_search_is_no_worse_than_the_bohr_scale(C, D, z):
-    # the bracket is in units of 1/(mu*Z*alpha), so it holds the optimum at every Z
+    # the bracket starts in units of 1/(mu*Z*alpha) and widens off an end that holds
+    # the optimum, as the S wave's lower end does from Z = 73 on; the sweep below
+    # covers Z up to 87
     bohr = 1.0 / (D.mu * z * C.alpha)
     assert _resolve_scale(SolverConfig(), C, z) == pytest.approx(bohr, rel=1e-15)
     searched = lowest_levels(0, 1, SolverConfig(), C, z=z)[0].value
@@ -404,3 +413,117 @@ def test_golden_section_value_stop():
         calls.clear()
         _golden_section_min(lambda t: calls.append(t) or g(t), lo, hi)
         assert len(calls) == _golden_section_evaluations(lo, hi)
+
+
+def _allocating_momentum_basis(p, nb, l, a):
+    # the whole-row recurrence and np.cumsum that _momentum_basis does in place
+    y = (p * p - a * a) / (p * p + a * a)
+    lam = l + 1.0
+    cg = np.empty((nb, p.size))
+    cg[0] = 1.0
+    cg[1] = 2.0 * lam * y
+    for j in range(1, nb - 1):
+        cg[j + 1] = (2.0 * (j + lam) * y * cg[j] - (j + 2.0 * lam - 1.0) * cg[j - 1]) / (j + 1.0)
+    prefactor = (math.sqrt(2.0 / math.pi) * 2.0 ** (2 * l + 1) * math.factorial(l)
+                 * a ** (l + 1) * p**l / (p * p + a * a) ** (l + 2))
+    cg = np.cumsum(cg * (np.arange(nb) + l + 1)[:, None] * prefactor, axis=0)
+    return cg * _basis_norms(nb, l, a)[:, None]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=4, max_value=128))
+@example(0, 128)
+@example(4, 128)
+def test_momentum_basis_matches_scipy_gegenbauer(l, nb):
+    # oracle: the docstring's layers from scipy's Gegenbauer polynomials, summed by np.cumsum
+    u = np.geomspace(1e-6, 1e6, 257)
+    y = (u * u - 1.0) / (u * u + 1.0)
+    j = np.arange(nb)
+    prefactor = (math.sqrt(2.0 / math.pi) * 2.0 ** (2 * l + 1) * math.factorial(l)
+                 * u**l / (u * u + 1.0) ** (l + 2))
+    layers = eval_gegenbauer(j[:, None], l + 1.0, y[None, :]) * (j + l + 1)[:, None] * prefactor
+    norms = np.exp(0.5 * (3.0 * math.log(2.0)
+                          + np.array([math.lgamma(n + 1) - math.lgamma(n + 2 * l + 3) for n in j])))
+    expected = np.cumsum(layers, axis=0) * norms[:, None]
+    # the partial sums cancel; hold each to the sum of the magnitudes of its layers
+    scale = np.cumsum(np.abs(layers), axis=0) * norms[:, None]
+    got = _momentum_basis(u, nb, l, 1.0)
+    assert got.shape == (nb, u.size)
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+    # the in-place recurrence and row sums keep the float order of the allocating ones
+    np.testing.assert_array_equal(got, _allocating_momentum_basis(u, nb, l, 1.0))
+
+
+def _recording_searches(monkeypatch):
+    """{objective: (lo, x, hi)} of the last golden-section search on each objective."""
+    searches = {}
+    inner = _golden_section_min
+
+    def recording(f, lo, hi):
+        x, fx = inner(f, lo, hi)
+        searches[f] = (lo, x, hi)
+        return x, fx
+
+    monkeypatch.setattr("hlevels.salpeter._golden_section_min", recording)
+    return searches
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(min_value=1, max_value=87), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=2))
+@example(73, 0, 0)
+@example(87, 0, 2)
+def test_searched_minimizer_sits_inside_its_final_bracket(C, D, z, l, k):
+    # the unwidened search ended 1S on the lower end of its bracket from Z = 73 on
+    with pytest.MonkeyPatch.context() as mp:
+        searches = _recording_searches(mp)
+        searched = lowest_levels(l, k + 1, SolverConfig(), C, z=z)
+    assert len(searches) == k + 1  # one objective per level
+    for lo, x, hi in searches.values():
+        assert lo + 2.0 * _SCALE_XATOL <= x <= hi - 2.0 * _SCALE_XATOL
+    # the Bohr scale is inside every bracket; where it is the optimum (1D) the value
+    # stop promises the least value to 2 * _SCALE_RTOL, as for the analytic minima
+    bohr = 1.0 / (D.mu * z * C.alpha)
+    fixed = lowest_levels(l, k + 1, SolverConfig(scale=bohr, scale_search=False), C, z=z)
+    for level, at_bohr in zip(searched, fixed):
+        assert level.value <= at_bohr.value + 2.0 * _SCALE_RTOL * abs(at_bohr.value), level.state
+
+
+def test_s_wave_optimum_below_the_first_bracket_is_found(C):
+    # at Z = 87 the 1S optimum is at 0.032 Bohr lengths, below the bracket's 0.05;
+    # the search that did not widen printed -202752.38 eV, 346.6 eV too high
+    assert lowest_levels(0, 1, SolverConfig(), C, z=87)[0].value <= -203098.9
+
+
+def test_table_searches_do_not_widen(C, monkeypatch):
+    # at Z = 1 every minimizer is 0.78 or more from an end: one search per level
+    searches = _recording_searches(monkeypatch)
+    values = salpeter_levels(TABLE_STATES, SolverConfig(), C)
+    assert len(searches) == len(values)
+    lo, hi = _SCALE_BRACKET
+    base = _resolve_scale(SolverConfig(), C)
+    for (lo_x, x, hi_x), state in zip(searches.values(), values):
+        assert lo_x == math.log(base * lo)
+        assert hi_x == math.log(base * hi * (state.k + state.l + 1))
+        assert min(x - lo_x, hi_x - x) > _SCALE_GUARD
+
+
+def test_widened_min_moves_an_end_that_holds_the_minimizer():
+    # the minimizer -3 lies five widenings of log(2) below the bracket [0, 1]
+    x, fx, lo, hi = _widened_min(lambda t: (t + 3.0) ** 2, 0.0, 1.0, "1S")
+    moves = math.ceil((3.0 + _SCALE_GUARD) / math.log(_SCALE_WIDEN))
+    assert (lo, hi) == (-moves * math.log(_SCALE_WIDEN), 1.0)
+    assert abs(x + 3.0) <= _STOP_WIDTH and fx == (x + 3.0) ** 2
+    # an interior minimizer keeps the bracket
+    assert _widened_min(lambda t: (t - 0.5) ** 2, 0.0, 1.0, "1S")[2:] == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("f, edge", [(math.atan, "lower"), (lambda t: -math.atan(t), "upper"),
+                                     (lambda t: math.nan, "upper")])
+def test_widened_min_refuses_a_minimum_past_its_widest_bracket(f, edge):
+    calls = []
+    with pytest.raises(ScaleSearchFailure, match=rf"^2P: the scale search still ends on its "
+                                                  rf"{edge} edge, .* after widening it 1024-fold$"):
+        _widened_min(lambda t: calls.append(t) or f(t), 0.0, 1.0, "2P")
+    reach = _SCALE_WIDENINGS * math.log(_SCALE_WIDEN)
+    assert -reach < min(calls) and max(calls) < 1.0 + reach

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
 from hlevels import (
@@ -19,6 +20,7 @@ from hlevels import (
     verification_report,
 )
 from hlevels.harness import TABLE_STATES
+from hlevels.quadrature import gauss_legendre
 from hlevels.verifier import _BISECT_RTOL, _SCAN_LOG10_HI, _SCAN_LOG10_LO, _SCAN_POINTS
 
 
@@ -171,3 +173,15 @@ def test_turning_points_agree_with_brentq(C, D, P):
             i = int(np.searchsorted(rs, r)) - 1  # the scan bracket that holds r
             reference = brentq(problem.radicand, rs[i], rs[i + 1], xtol=tiny, rtol=_BISECT_RTOL)
             assert abs(r - reference) <= 4.0 * np.finfo(float).eps * reference, st.label
+
+
+@pytest.mark.parametrize("order", [32, 64])
+def test_gauss_legendre_rule_is_shared_and_read_only(order):
+    nodes, weights = gauss_legendre(order)
+    assert gauss_legendre(order)[0] is nodes and gauss_legendre(order)[1] is weights
+    fresh = leggauss(order)
+    np.testing.assert_array_equal(nodes, fresh[0])
+    np.testing.assert_array_equal(weights, fresh[1])
+    for shared in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
