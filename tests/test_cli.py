@@ -10,7 +10,15 @@ from hypothesis import given, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 import hlevels
-from hlevels import ParseError, QuantumState, cli
+from hlevels import (
+    ParseError,
+    QuantumState,
+    ScaleSearchFailure,
+    SolverConfig,
+    cli,
+    default_constants,
+    salpeter_levels,
+)
 from hlevels.cli import BLAS_THREAD_VARIABLES, main, parse_state_label
 
 
@@ -26,6 +34,7 @@ def test_parse_state_label_examples():
     assert parse_state_label("2P") == QuantumState(1, 1)
     assert parse_state_label("3S") == QuantumState(2, 0)
     assert parse_state_label("2,1") == QuantumState(2, 1)
+    assert parse_state_label("2:1") == QuantumState(2, 1)
 
 
 def test_parse_state_label_errors():
@@ -128,6 +137,14 @@ def test_bad_state_label_exit_code(capsys):
     code, _, err = run(capsys, "spectrum", "--states", "0S")
     assert code == 1
     assert "error:" in err
+
+
+# 1:2:3 ended in "too many values to unpack"; ':' was quoted as the rewritten ','
+@pytest.mark.parametrize("states", ["1:2:3", ":"])
+def test_bad_colon_pair_is_quoted_as_typed(capsys, states):
+    code, out, err = run(capsys, "spectrum", "--states", f"1S,{states}")
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot parse state {states!r} as 'k:l'\n"
 
 
 def test_widths(capsys):
@@ -236,12 +253,20 @@ def test_cli_reports_the_grid_a_basis_needs(capsys):
     assert err == "error: basis_size 3000 needs quad_nodes >= 6000, have 4096\n"
 
 
-def test_salpeter_refuses_a_level_past_the_widest_bracket(capsys):
+def test_salpeter_refuses_a_level_past_the_widest_bracket():
     # a search scale 3700 Bohr lengths off puts 1S past the bracket's 1024-fold widening;
-    # the search that did not widen printed 1S = -4.578 eV with exit 0
-    code, out, err = run(capsys, "salpeter", "--states", "1S", "--scale", "1e6")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: 1S: the scale search still ends on its lower edge, ")
+    # the search that did not widen printed 1S = -4.578 eV
+    message = "1S: the scale search still ends on its lower edge, 48.8363 1/MeV, after widening"
+    with pytest.raises(ScaleSearchFailure, match=f"^{message} it 1024-fold$"):
+        salpeter_levels([QuantumState(0, 0)], SolverConfig(scale=1e6), default_constants())
+
+
+@pytest.mark.parametrize("command", ["compare", "salpeter"])
+def test_scale_is_a_usage_error(capsys, command):
+    # the search sets its bracket from Z; --scale only moved the first bracket
+    code, out, err = run(capsys, command, "--scale", "1e6")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --scale" in err
 
 
 def test_constants_json_with_override(capsys):
@@ -322,9 +347,17 @@ def _child_env(**extra) -> dict:
     return env
 
 
-# runs the module as `python -m hlevels.cli` does, then reports numpy's OpenBLAS threads
+def _exit_by_raising(code):
+    raise SystemExit(code)
+
+
+# runs the module as `python -m hlevels.cli` does, then reports numpy's OpenBLAS threads;
+# os._exit raises instead, so that the probe outlives the entry
 _CLI_THREADS_PROBE = """
-import ctypes, pathlib, runpy, sys
+import ctypes, os, pathlib, runpy, sys
+def _exit_by_raising(code):
+    raise SystemExit(code)
+os._exit = _exit_by_raising
 sys.argv = ["hlevels", *sys.argv[1:]]
 try:
     runpy.run_module("hlevels.cli", run_name="__main__", alter_sys=True)
@@ -374,9 +407,51 @@ def test_entry_sets_one_blas_thread_unless_the_user_chose(monkeypatch, chosen):
     seen = {}
     monkeypatch.setattr(cli, "main", lambda argv=None: seen.update(
         {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}) or 7)
-    assert cli.entry() == 7
+    monkeypatch.setattr(os, "_exit", _exit_by_raising)
+    with pytest.raises(SystemExit) as ended:
+        cli.entry()
+    assert ended.value.code == 7
     expected = chosen or {"OMP_NUM_THREADS": "1"}
     assert seen == {name: expected.get(name) for name in BLAS_THREAD_VARIABLES}
+
+
+def _cli_process(*argv) -> subprocess.Popen:
+    """`python -m hlevels.cli argv` with stdout block-buffered, as in a pipe outside pytest.
+
+    Only the final flush in entry() writes a short output then, so a lost flush shows.
+    """
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "hlevels.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("argv", [("compare", "--format", "json"), ("spectrum", "--format", "csv")])
+def test_process_entry_prints_the_bytes_of_main(capsys, argv):
+    proc = _cli_process(*argv)
+    out, _ = proc.communicate(timeout=300)
+    assert proc.returncode == 0
+    assert run(capsys, *argv)[:2] == (0, out.decode())
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("salpeter", "--states", "1S", "--z", "88"), 1),
+    (("spectrum", "--z", "0"), 2),
+])
+def test_process_entry_keeps_the_exit_codes(argv, code):
+    proc = _cli_process(*argv)
+    out, err = proc.communicate(timeout=300)
+    assert (proc.returncode, out) == (code, b"")
+    assert (b"Traceback" not in err) and (b"error:" in err.splitlines()[-1])
+
+
+def test_process_entry_exits_1_quietly_on_a_closed_pipe():
+    # the interpreter's own last flush printed "Exception ignored ... BrokenPipeError", exit 120
+    proc = _cli_process("spectrum")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 def test_main_leaves_the_environment_unchanged(capsys, monkeypatch):
