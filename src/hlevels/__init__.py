@@ -25,15 +25,6 @@ from .errors import (
     ScaleSearchFailure,
     SupercriticalCharge,
 )
-from .harness import (
-    Environment,
-    ReferenceDataset,
-    builtin_reference,
-    generate_table1,
-    generate_table2,
-    load_reference_csv,
-    relative_error,
-)
 from .potential import (
     DEFAULT_LAMBDA_MEV,
     PotentialParams,
@@ -64,9 +55,12 @@ from .spectra import (
 __version__ = "1.0.0"
 
 # The Salpeter solver and the verifier need numpy, which takes twice as long
-# to import as the rest of the package; they load on the first use of one of
-# their names (PEP 562).
+# to import as the rest of the package, and only `compare` of the commands
+# needs the comparison harness.  Each loads on the first use of one of its
+# names here (PEP 562), so a closed-form command loads none of them.
 _LAZY = {
+    **dict.fromkeys(("Environment", "ReferenceDataset", "builtin_reference", "generate_table1",
+                     "generate_table2", "load_reference_csv", "relative_error"), "harness"),
     **dict.fromkeys(("SolverConfig", "SSOperatorMatrices", "build_matrices",
                      "convergence_report", "lowest_levels", "salpeter_levels"), "salpeter"),
     **dict.fromkeys(("RadialProblem", "TurningPoints", "analytic_i_infinity",

@@ -16,30 +16,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import TYPE_CHECKING, NoReturn
 
 from .constants import Constants, default_constants, derive
 from .errors import HlevelsError, ParseError
-from .harness import (
-    Environment,
-    TABLE_STATES,
-    builtin_reference,
-    format_rows,
-    generate_table1,
-    generate_table2,
-    load_reference_csv,
-    table1_to_csv,
-    table1_to_text,
-    table2_to_csv,
-    table2_to_text,
-    tables_to_json,
-)
 from .potential import DEFAULT_LAMBDA_MEV, PotentialParams
 from .spectra import (
+    SPECTROSCOPIC_LETTERS,
+    TABLE_STATES,
     DiracState,
     QuantumState,
-    SPECTROSCOPIC_LETTERS,
+    format_rows,
     kg_level,
     qc_level,
     qc_width,
@@ -48,8 +35,8 @@ from .spectra import (
     sommerfeld_level,
 )
 
-# salpeter and verifier load numpy, most of a cold start: the commands that
-# solve import them when they run
+# salpeter and verifier load numpy, most of a cold start, and harness is
+# compare's alone: the commands that use them import them when they run
 if TYPE_CHECKING:
     from .salpeter import SolverConfig
 
@@ -157,6 +144,19 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .harness import (
+        Environment,
+        builtin_reference,
+        generate_table1,
+        generate_table2,
+        load_reference_csv,
+        table1_to_csv,
+        table1_to_text,
+        table2_to_csv,
+        table2_to_text,
+        tables_to_json,
+    )
+
     if args.z > 1 and not args.reference:
         print(f"error: --z {args.z} needs --reference (built-in is hydrogen)", file=sys.stderr)
         return 2
@@ -223,8 +223,8 @@ def _cmd_salpeter(args) -> int:
 def _cmd_constants(args) -> int:
     c = _constants_from(args)
     d = derive(c)
-    rows = [{"name": k, "value": v} for k, v in sorted(asdict(c).items())]
-    rows += [{"name": f"derived.{k}", "value": v} for k, v in sorted(asdict(d).items())]
+    rows = [{"name": k, "value": v} for k, v in sorted(c._asdict().items())]
+    rows += [{"name": f"derived.{k}", "value": v} for k, v in sorted(d._asdict().items())]
     _emit_rows(rows, ["name", "value"], args.format, float_fmt="{:.10g}")
     return 0
 
@@ -289,6 +289,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    if sys.stdout is None:  # file descriptor 1 was closed when Python started
+        print("error: standard output is closed", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (HlevelsError, ValueError, ZeroDivisionError, OSError) as exc:

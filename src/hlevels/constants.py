@@ -8,8 +8,8 @@ converted to eV only at the reporting boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 EV_PER_MEV = 1.0e6
 
@@ -22,29 +22,35 @@ _HBAR_C_MEV_FM = 197.3269788
 _CONFIG_KEYS = ("alpha", "m_e_mev", "m_p_mev", "hbar_c")
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Fine-structure constant, particle masses (MeV) and hbar*c (MeV*fm)."""
-
+# The records are NamedTuples.  A NamedTuple class cannot define __new__, so a
+# record that checks its fields subclasses a bare field tuple and checks them
+# in its own __new__.  _replace and _make skip that check: call the record.
+class _Constants(NamedTuple):
     alpha: float = _ALPHA
     m_e: float = _M_E_MEV
     m_p: float = _M_P_MEV
     hbar_c: float = _HBAR_C_MEV_FM
     ev_per_mev: float = EV_PER_MEV
 
-    def __post_init__(self):
+
+class Constants(_Constants):
+    """Fine-structure constant, particle masses (MeV) and hbar*c (MeV*fm)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha out of range: {self.alpha}")
         if not (0.0 < self.m_e < self.m_p):
             raise ValueError("need 0 < m_e < m_p")
-        for name in ("alpha", "m_e", "m_p", "hbar_c", "ev_per_mev"):
-            v = getattr(self, name)
+        for name, v in zip(self._fields, self):
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
+        return self
 
 
-@dataclass(frozen=True)
-class DerivedMasses:
+class DerivedMasses(NamedTuple):
     """Mass combinations m+ = m_p + m_e, m- = m_p - m_e, m_a = m+/2, mu."""
 
     m_plus: float

@@ -12,28 +12,21 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, asdict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import Constants, default_constants, derive
 from .errors import DuplicateState, HlevelsError, ParseError
-from .spectra import QuantumState, kg_level, qc_complex_mass, qc_level
+from .spectra import (
+    TABLE_STATES,
+    QuantumState,
+    format_rows,
+    kg_level,
+    qc_complex_mass,
+    qc_level,
+)
 
 if TYPE_CHECKING:
     from .salpeter import SolverConfig
-
-TABLE_STATES = (
-    QuantumState(0, 0),
-    QuantumState(0, 1),
-    QuantumState(0, 2),
-    QuantumState(0, 3),
-    QuantumState(0, 4),
-    QuantumState(1, 0),
-    QuantumState(1, 1),
-    QuantumState(1, 2),
-    QuantumState(2, 0),
-    QuantumState(2, 1),
-)
 
 MODELS = ("kg", "ss", "qc", "nist")
 
@@ -69,34 +62,48 @@ _PUBLISHED_M_IM = (3.421587, 1.710793, 1.140530, 0.855397, 0.684317,
 _EPS_MATCH_RTOL = 0.02
 
 
-@dataclass(frozen=True)
-class ReferenceDataset:
-    """Map from quantum state to reference binding energy (eV)."""
-
+class _ReferenceDataset(NamedTuple):
     entries: dict
     source: str = "builtin"
 
-    def __post_init__(self):
+
+class ReferenceDataset(_ReferenceDataset):
+    """Map from quantum state to reference binding energy (eV)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for state, value in self.entries.items():
             if value >= 0.0:
                 raise ValueError(f"reference energy for {state.label} must be negative")
+        return self
 
 
-def _default_solver() -> SolverConfig:
-    # imported on use, so that importing harness does not load numpy
-    from .salpeter import SolverConfig
+class _Environment(NamedTuple):
+    constants: Constants
+    solver: SolverConfig
+    reference: ReferenceDataset
+    z: int
 
-    return SolverConfig()
 
+class Environment(_Environment):
+    """Shared inputs for table generation.
 
-@dataclass(frozen=True)
-class Environment:
-    """Shared inputs for table generation."""
+    An omitted constant set or solver is a fresh default one.
+    """
 
-    constants: Constants = field(default_factory=default_constants)
-    solver: SolverConfig = field(default_factory=_default_solver)
-    reference: ReferenceDataset = None
-    z: int = 1
+    __slots__ = ()
+
+    def __new__(cls, constants=None, solver=None, reference=None, z=1):
+        if constants is None:
+            constants = default_constants()
+        if solver is None:
+            # imported on use, so that importing harness does not load numpy
+            from .salpeter import SolverConfig
+
+            solver = SolverConfig()
+        return super().__new__(cls, constants, solver, reference, z)
 
 
 def builtin_reference() -> ReferenceDataset:
@@ -244,27 +251,6 @@ def generate_table2(env: Environment = None, table1: list[dict] = None) -> list[
 
 # --- serialization -----------------------------------------------------------
 
-def format_rows(rows, columns, fmt: str) -> str:
-    """Header and one line per row, as 'text' or 'csv'.
-
-    Each column is (header, width, cell), where cell(row) gives the string.
-    Text right-aligns every cell to its width and joins with one space; CSV
-    ignores the widths.
-    """
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([header for header, _, _ in columns])
-        writer.writerows([cell(r) for _, _, cell in columns] for r in rows)
-        return buf.getvalue()
-    lines = [[header for header, _, _ in columns]]
-    lines += [[cell(r) for _, _, cell in columns] for r in rows]
-    return "".join(
-        " ".join(text.rjust(width) for text, (_, width, _) in zip(line, columns)) + "\n"
-        for line in lines
-    )
-
-
 def _cell(key: str, spec: str = ""):
     """Cell that formats row[key] with spec, or is empty when it is None."""
     return lambda r: "" if r.get(key) is None else format(r[key], spec)
@@ -331,7 +317,7 @@ def tables_to_json(table1, table2, env: Environment = None) -> str:
     doc = {
         "table": {"energies": table1, "accuracies": table2},
         "models": list(MODELS),
-        "constants": asdict(env.constants),
+        "constants": env.constants._asdict(),
         "mismatches": mismatches,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

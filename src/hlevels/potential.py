@@ -7,26 +7,31 @@ transfer), which removes the 1/r singularity of the potential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import Constants, DerivedMasses
 
 DEFAULT_LAMBDA_MEV = 840.0
 
 
-@dataclass(frozen=True)
-class PotentialParams:
-    """Coupling alpha, form-factor scale lambda (MeV) and nuclear charge z."""
-
+class _PotentialParams(NamedTuple):
     alpha: float
     lam: float = DEFAULT_LAMBDA_MEV
     z: int = 1
 
-    def __post_init__(self):
+
+class PotentialParams(_PotentialParams):
+    """Coupling alpha, form-factor scale lambda (MeV) and nuclear charge z."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.alpha <= 0.0 or self.lam <= 0.0:
             raise ValueError("alpha and lambda must be positive")
         if int(self.z) != self.z or self.z < 1:
             raise ValueError(f"z must be a positive integer, got {self.z}")
+        return self
 
 
 def default_params(c: Constants, lam: float = DEFAULT_LAMBDA_MEV, z: int = 1) -> PotentialParams:

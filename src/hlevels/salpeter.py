@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,16 +47,20 @@ _OVERLAP_DEFECT_MAX = 1.0e-3  # max|S - I| of the quadrature overlap
 _KINETIC_SCREEN = 1.0e-20  # a node's least share of trace(K)/basis_size to enter the product
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Basis size, variational length scale (1/MeV) and quadrature order."""
-
+class _SolverConfig(NamedTuple):
     basis_size: int = 64
     scale: float | None = None  # default: Bohr length 1/(mu*Z*alpha)
     quad_nodes: int = 4096
     scale_search: bool = True
 
-    def __post_init__(self):
+
+class SolverConfig(_SolverConfig):
+    """Basis size, variational length scale (1/MeV) and quadrature order."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.basis_size < 4:
             raise ValueError("basis_size must be >= 4")
         if self.scale is not None and self.scale <= 0.0:
@@ -64,10 +68,10 @@ class SolverConfig:
         if self.quad_nodes < 2 * self.basis_size:
             raise ValueError(f"basis_size {self.basis_size} needs quad_nodes >= "
                              f"{2 * self.basis_size}, have {self.quad_nodes}")
+        return self
 
 
-@dataclass(frozen=True)
-class SSOperatorMatrices:
+class SSOperatorMatrices(NamedTuple):
     """Kinetic, potential and overlap matrices in the radial basis (MeV).
 
     kinetic contains the full square-root operators including rest mass;
@@ -414,7 +418,9 @@ def convergence_report(
     rows = []
     previous = None
     for nb in sizes:
-        config = replace(cfg, basis_size=nb, scale_search=False)
+        # the constructor, not _replace, so that the size is checked
+        config = SolverConfig(basis_size=nb, scale=cfg.scale, quad_nodes=cfg.quad_nodes,
+                              scale_search=False)
         value = lowest_levels(l, level_index + 1, config, c, z)[level_index].value
         delta = None if previous is None else value - previous
         rows.append({"basis_size": nb, "value_ev": value, "delta_ev": delta})

@@ -4,12 +4,15 @@ All binding energies here ride on rest masses of order 1e9 eV while the
 tables quote 8 decimals in eV, so every operation is written in a
 cancellation-safe algebraic form.  The naive subtractions they replace are
 exercised only by the extended-precision test oracle.
+
+Also home to the ten standard table states and the text/CSV row formatter,
+which the closed-form commands and the comparison harness share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import Constants, DerivedMasses, derive
 from .errors import SupercriticalCharge
@@ -17,16 +20,21 @@ from .errors import SupercriticalCharge
 SPECTROSCOPIC_LETTERS = "SPDFGHIK"
 
 
-@dataclass(frozen=True, order=True)
-class QuantumState:
-    """Radial (k) and orbital (l) quantum numbers of a spinless level."""
-
+class _QuantumState(NamedTuple):
     k: int
     l: int
 
-    def __post_init__(self):
+
+class QuantumState(_QuantumState):
+    """Radial (k) and orbital (l) quantum numbers of a spinless level."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 0 or self.l < 0:
             raise ValueError(f"quantum numbers must be non-negative: k={self.k}, l={self.l}")
+        return self
 
     def n_principal(self) -> int:
         return self.k + self.l + 1
@@ -38,31 +46,35 @@ class QuantumState:
         return f"{self.k + 1}{SPECTROSCOPIC_LETTERS[self.l]}"
 
 
-@dataclass(frozen=True)
-class DiracState:
+class _DiracState(NamedTuple):
+    n: int
+    two_j: int
+
+
+class DiracState(_DiracState):
     """Principal quantum number n and total angular momentum j.
 
     j is stored doubled (two_j) so that half-integers never enter hash keys.
     """
 
-    n: int
-    two_j: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.two_j < 1 or self.two_j % 2 == 0:
             raise ValueError(f"two_j must be a positive odd integer, got {self.two_j}")
         if (self.two_j + 1) // 2 > self.n:
             raise ValueError(f"j + 1/2 must not exceed n (n={self.n}, two_j={self.two_j})")
+        return self
 
     @property
     def j(self) -> float:
         return self.two_j / 2.0
 
 
-@dataclass(frozen=True)
-class ComplexMass:
+class ComplexMass(NamedTuple):
     """Centered eigenmass: real part, imaginary part and branch sign."""
 
     re: float
@@ -74,8 +86,7 @@ class ComplexMass:
         return 2.0 * abs(self.im)
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     """A binding energy in eV together with its model tag and state."""
 
     value: float
@@ -243,3 +254,45 @@ def critical_z(model: str, angular, c: Constants) -> int:
     while z * c.alpha >= threshold:
         z -= 1
     return z
+
+
+# --- tables ------------------------------------------------------------------
+
+# the ten states of the comparison tables, 1S..3P
+TABLE_STATES = (
+    QuantumState(0, 0),
+    QuantumState(0, 1),
+    QuantumState(0, 2),
+    QuantumState(0, 3),
+    QuantumState(0, 4),
+    QuantumState(1, 0),
+    QuantumState(1, 1),
+    QuantumState(1, 2),
+    QuantumState(2, 0),
+    QuantumState(2, 1),
+)
+
+
+def format_rows(rows, columns, fmt: str) -> str:
+    """Header and one line per row, as 'text' or 'csv'.
+
+    Each column is (header, width, cell), where cell(row) gives the string.
+    Text right-aligns every cell to its width and joins with one space; CSV
+    ignores the widths.
+    """
+    if fmt == "csv":
+        # imported here, so that a command printing text or JSON starts without csv
+        import csv
+        import io
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([header for header, _, _ in columns])
+        writer.writerows([cell(r) for _, _, cell in columns] for r in rows)
+        return buf.getvalue()
+    lines = [[header for header, _, _ in columns]]
+    lines += [[cell(r) for _, _, cell in columns] for r in rows]
+    return "".join(
+        " ".join(text.rjust(width) for text, (_, width, _) in zip(line, columns)) + "\n"
+        for line in lines
+    )

@@ -10,7 +10,7 @@ result is compared against pi*(k + 1/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,29 +33,38 @@ def angular_eigenmomentum(l: int) -> float:
     return l + 0.5
 
 
-@dataclass(frozen=True)
-class RadialProblem:
+class _RadialProblem(NamedTuple):
+    s: float
+    l: int
+    params: PotentialParams
+    derived: DerivedMasses
+    s_gap_high: float
+    k_factor: float
+    m_l: float
+
+
+class RadialProblem(_RadialProblem):
     """Radial radicand K(s)*[s - M(r)^2] - (l+1/2)^2/r^2 at trial mass^2 s.
 
     s_gap_high holds m_plus^2 - s.  When s is a root of the eigenmass
     quadratic the gap is supplied in closed form (see qc_root_gaps); the
     radicand then expands the square of the mass function so that the
     near-total cancellation of s against m_plus^2 never occurs in floats.
+    k_factor and m_l are computed from the other fields.
     """
 
-    s: float
-    l: int
-    params: PotentialParams
-    derived: DerivedMasses
-    s_gap_high: float = None  # m_plus^2 - s; computed if omitted
-    k_factor: float = field(init=False)
-    m_l: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s_gap_high is None:
-            object.__setattr__(self, "s_gap_high", self.derived.m_plus**2 - self.s)
-        object.__setattr__(self, "k_factor", (1.0 - self.derived.m_minus**2 / self.s) / 4.0)
-        object.__setattr__(self, "m_l", angular_eigenmomentum(self.l))
+    def __new__(cls, s, l, params, derived, s_gap_high=None):
+        if s_gap_high is None:  # m_plus^2 - s
+            s_gap_high = derived.m_plus**2 - s
+        k_factor = (1.0 - derived.m_minus**2 / s) / 4.0
+        return super().__new__(cls, s, l, params, derived, s_gap_high, k_factor,
+                               angular_eigenmomentum(l))
+
+    def __getnewargs__(self):
+        # pickle and copy pass these to __new__
+        return self[:5]
 
     def radicand(self, r: float) -> float:
         return self.p_squared(r) - (self.m_l / r) ** 2
@@ -67,14 +76,19 @@ class RadialProblem:
         return self.k_factor * (-self.s_gap_high - w * (2.0 * self.derived.m_plus + w))
 
 
-@dataclass(frozen=True)
-class TurningPoints:
+class _TurningPoints(NamedTuple):
     r1: float
     r2: float
 
-    def __post_init__(self):
+
+class TurningPoints(_TurningPoints):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.r1 < self.r2):
             raise ValueError(f"need 0 < r1 < r2, got {self.r1}, {self.r2}")
+        return self
 
 
 def find_turning_points(p: RadialProblem) -> TurningPoints:

@@ -454,6 +454,15 @@ def test_process_entry_exits_1_quietly_on_a_closed_pipe():
     assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
+@pytest.mark.parametrize("argv", [("spectrum",), ("compare", "--basis-size", "16")])
+def test_process_entry_exits_1_with_an_error_line_when_stdout_is_closed(argv):
+    # `hlevels spectrum >&-`: Python starts with sys.stdout None
+    proc = subprocess.run([sys.executable, "-m", "hlevels.cli", *argv], env=_child_env(),
+                          stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: standard output is closed\n"
+
+
 def test_main_leaves_the_environment_unchanged(capsys, monkeypatch):
     for name in BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
@@ -465,10 +474,12 @@ def test_main_leaves_the_environment_unchanged(capsys, monkeypatch):
 _CLOSED_FORM_PROBE = """
 import contextlib, io, sys
 from hlevels.cli import main
-for argv in (["spectrum", "--model", "kg"], ["widths"], ["constants"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
-print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+for command in (["spectrum", "--model", "kg"], ["widths"], ["constants"]):
+    for fmt in ("text", "csv", "json"):
+        argv = [*command, "--format", fmt]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+print(sorted(m for m in ("numpy", "scipy", "dataclasses", "hlevels.harness") if m in sys.modules))
 """
 
 

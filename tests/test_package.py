@@ -4,8 +4,10 @@ import pytest
 
 import hlevels
 
-# the names the package loads from its numpy/scipy submodules on first use
+# the names the package loads on first use from its numpy submodules and the harness
 LAZY_NAMES = {
+    "harness": ("Environment", "ReferenceDataset", "builtin_reference", "generate_table1",
+                "generate_table2", "load_reference_csv", "relative_error"),
     "salpeter": ("SolverConfig", "SSOperatorMatrices", "build_matrices", "convergence_report",
                  "lowest_levels", "salpeter_levels"),
     "verifier": ("RadialProblem", "TurningPoints", "analytic_i_infinity",
