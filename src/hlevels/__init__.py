@@ -11,9 +11,7 @@ from .constants import (
     DerivedMasses,
     default_constants,
     derive,
-    load_constants,
     rydberg_constant,
-    rydberg_energy,
 )
 from .errors import (
     DuplicateState,
@@ -29,10 +27,7 @@ from .potential import (
     DEFAULT_LAMBDA_MEV,
     PotentialParams,
     default_params,
-    mass_function,
-    particle_mass,
     potential_r,
-    running_alpha_q,
     running_alpha_r,
 )
 from .spectra import (

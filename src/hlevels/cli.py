@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 from .constants import Constants, default_constants, derive
 from .errors import HlevelsError, ParseError
@@ -34,11 +34,8 @@ from .spectra import (
     schrodinger_level,
     sommerfeld_level,
 )
-
 # salpeter and verifier load numpy, most of a cold start, and harness is
 # compare's alone: the commands that use them import them when they run
-if TYPE_CHECKING:
-    from .salpeter import SolverConfig
 
 # the variables OpenBLAS, MKL and OpenMP read their thread count from
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -99,7 +96,7 @@ def _constants_from(args) -> Constants:
     )
 
 
-def _solver_from(args) -> SolverConfig:
+def _solver_from(args):
     from .salpeter import SolverConfig
 
     return SolverConfig() if args.basis_size is None else SolverConfig(basis_size=args.basis_size)

@@ -8,7 +8,6 @@ converted to eV only at the reporting boundary.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import NamedTuple
 
 EV_PER_MEV = 1.0e6
@@ -19,12 +18,23 @@ _M_E_MEV = 0.5109989461
 _M_P_MEV = 938.2720813
 _HBAR_C_MEV_FM = 197.3269788
 
-_CONFIG_KEYS = ("alpha", "m_e_mev", "m_p_mev", "hbar_c")
-
 
 # The records are NamedTuples.  A NamedTuple class cannot define __new__, so a
-# record that checks its fields subclasses a bare field tuple and checks them
-# in its own __new__.  _replace and _make skip that check: call the record.
+# record that checks its fields subclasses a bare field tuple, checks them in
+# its own __new__ and takes _CheckedRecord as its first base.
+class _CheckedRecord:
+    """Base whose _make, and so _replace, builds the record through its __new__.
+
+    It passes what pickle passes (__getnewargs__), so computed fields are computed again.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*tuple.__new__(cls, iterable).__getnewargs__())
+
+
 class _Constants(NamedTuple):
     alpha: float = _ALPHA
     m_e: float = _M_E_MEV
@@ -33,7 +43,7 @@ class _Constants(NamedTuple):
     ev_per_mev: float = EV_PER_MEV
 
 
-class Constants(_Constants):
+class Constants(_CheckedRecord, _Constants):
     """Fine-structure constant, particle masses (MeV) and hbar*c (MeV*fm)."""
 
     __slots__ = ()
@@ -86,36 +96,3 @@ def rydberg_constant(c: Constants) -> float:
     """
     energy_mev = c.m_e * c.alpha**2 / 2.0
     return energy_mev / (2.0 * math.pi * c.hbar_c) * 1.0e15
-
-
-def rydberg_energy(c: Constants, use_reduced: bool = False) -> float:
-    """Ground-state binding scale m*alpha^2/2 in eV (m = m_e or mu)."""
-    m = derive(c).mu if use_reduced else c.m_e
-    return m * c.alpha**2 / 2.0 * c.ev_per_mev
-
-
-def load_constants(source: str | Path) -> Constants:
-    """Build a Constants set from a key=value override file or text.
-
-    Recognized keys: alpha, m_e_mev, m_p_mev, hbar_c.  Lines starting
-    with '#' and blank lines are ignored.  Unknown keys are an error.
-    """
-    text = source
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    overrides = {}
-    for lineno, raw in enumerate(str(text).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or key not in _CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: expected '<key>=<value>' with key in {_CONFIG_KEYS}")
-        overrides[key] = float(value)
-    return Constants(
-        alpha=overrides.get("alpha", _ALPHA),
-        m_e=overrides.get("m_e_mev", _M_E_MEV),
-        m_p=overrides.get("m_p_mev", _M_P_MEV),
-        hbar_c=overrides.get("hbar_c", _HBAR_C_MEV_FM),
-    )

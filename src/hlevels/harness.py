@@ -9,13 +9,12 @@ epsilon values are only ever compared against, never copied into output.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .constants import Constants, default_constants, derive
+from .constants import Constants, _CheckedRecord, default_constants, derive
 from .errors import DuplicateState, HlevelsError, ParseError
+from .salpeter import SolverConfig, salpeter_levels
 from .spectra import (
     TABLE_STATES,
     QuantumState,
@@ -24,9 +23,6 @@ from .spectra import (
     qc_complex_mass,
     qc_level,
 )
-
-if TYPE_CHECKING:
-    from .salpeter import SolverConfig
 
 MODELS = ("kg", "ss", "qc", "nist")
 
@@ -67,7 +63,7 @@ class _ReferenceDataset(NamedTuple):
     source: str = "builtin"
 
 
-class ReferenceDataset(_ReferenceDataset):
+class ReferenceDataset(_CheckedRecord, _ReferenceDataset):
     """Map from quantum state to reference binding energy (eV)."""
 
     __slots__ = ()
@@ -80,30 +76,14 @@ class ReferenceDataset(_ReferenceDataset):
         return self
 
 
-class _Environment(NamedTuple):
-    constants: Constants
-    solver: SolverConfig
-    reference: ReferenceDataset
-    z: int
+class Environment(NamedTuple):
+    """Shared inputs for table generation: by default the frozen constants,
+    the default solver and the built-in reference, for hydrogen."""
 
-
-class Environment(_Environment):
-    """Shared inputs for table generation.
-
-    An omitted constant set or solver is a fresh default one.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, constants=None, solver=None, reference=None, z=1):
-        if constants is None:
-            constants = default_constants()
-        if solver is None:
-            # imported on use, so that importing harness does not load numpy
-            from .salpeter import SolverConfig
-
-            solver = SolverConfig()
-        return super().__new__(cls, constants, solver, reference, z)
+    constants: Constants = default_constants()
+    solver: SolverConfig = SolverConfig()
+    reference: ReferenceDataset = None
+    z: int = 1
 
 
 def builtin_reference() -> ReferenceDataset:
@@ -175,8 +155,6 @@ def generate_table1(
     states = tuple(states)
     ss_values = {}
     if "ss" in models:
-        from .salpeter import salpeter_levels
-
         # one solve per l, so that a channel that fails empties only its own cells
         for l in sorted({st.l for st in states}):
             try:
@@ -286,20 +264,6 @@ def table2_to_text(rows) -> str:
 def table1_to_csv(rows) -> str:
     """Round-trippable CSV (17 significant digits)."""
     return format_rows(rows, _TABLE1_CSV, "csv")
-
-
-def table1_from_csv(text: str) -> list[dict]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["state", *MODELS]:
-        raise ParseError("unexpected table header", line=1)
-    rows = []
-    for record in reader:
-        row = {"state": record[0]}
-        for model, cell in zip(MODELS, record[1:]):
-            row[model] = None if cell == "" else float(cell)
-        rows.append(row)
-    return rows
 
 
 def table2_to_csv(rows) -> str:

@@ -7,9 +7,10 @@ transfer), which removes the 1/r singularity of the potential.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-from .constants import Constants, DerivedMasses
+from .constants import Constants, _CheckedRecord
 
 DEFAULT_LAMBDA_MEV = 840.0
 
@@ -20,7 +21,7 @@ class _PotentialParams(NamedTuple):
     z: int = 1
 
 
-class PotentialParams(_PotentialParams):
+class PotentialParams(_CheckedRecord, _PotentialParams):
     """Coupling alpha, form-factor scale lambda (MeV) and nuclear charge z."""
 
     __slots__ = ()
@@ -29,6 +30,8 @@ class PotentialParams(_PotentialParams):
         self = super().__new__(cls, *args, **kwargs)
         if self.alpha <= 0.0 or self.lam <= 0.0:
             raise ValueError("alpha and lambda must be positive")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.lam)):
+            raise ValueError(f"alpha and lambda must be finite, got {self.alpha}, {self.lam}")
         if int(self.z) != self.z or self.z < 1:
             raise ValueError(f"z must be a positive integer, got {self.z}")
         return self
@@ -38,20 +41,10 @@ def default_params(c: Constants, lam: float = DEFAULT_LAMBDA_MEV, z: int = 1) ->
     return PotentialParams(alpha=c.alpha, lam=lam, z=z)
 
 
-def form_factor(q: float, p: PotentialParams) -> float:
-    """Dipole form factor (lam^2/(q^2+lam^2))^2, in (0, 1]."""
-    u = p.lam**2 / (q**2 + p.lam**2)
-    return u * u
-
-
-def running_alpha_q(q: float, p: PotentialParams) -> float:
-    """Momentum-space running coupling alpha*(lam^2/(q^2+lam^2))^2."""
-    return p.alpha * form_factor(q, p)
-
-
 def running_alpha_r(r: float, p: PotentialParams) -> float:
     """Configuration-space coupling alpha*(lam^2 r^2/(1+lam^2 r^2))^2.
 
+    In momentum space it runs as alpha*(lam^2/(q^2+lam^2))^2, alpha times the dipole form factor.
     Vanishes like r^4 at the origin and saturates at alpha for large r.
     """
     x = (p.lam * r) ** 2
@@ -65,12 +58,3 @@ def potential_r(r: float, p: PotentialParams) -> float:
         return 0.0
     return -p.z * running_alpha_r(r, p) / r
 
-
-def mass_function(r: float, p: PotentialParams, d: DerivedMasses) -> float:
-    """Position-dependent total mass m_plus + W(r) entering the radial equation."""
-    return d.m_plus + potential_r(r, p)
-
-
-def particle_mass(r: float, p: PotentialParams, m_i: float) -> float:
-    """Position-dependent single-particle mass m_i + W(r)/2 (weight 1/2 each)."""
-    return m_i + potential_r(r, p) / 2.0

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import Constants, derive
+from .constants import Constants, _CheckedRecord, derive
 from .errors import IllConditionedBasis, ScaleSearchFailure, SupercriticalCharge
 from .quadrature import gauss_legendre
 from .spectra import EnergyLevel, QuantumState
@@ -54,7 +54,7 @@ class _SolverConfig(NamedTuple):
     scale_search: bool = True
 
 
-class SolverConfig(_SolverConfig):
+class SolverConfig(_CheckedRecord, _SolverConfig):
     """Basis size, variational length scale (1/MeV) and quadrature order."""
 
     __slots__ = ()
@@ -184,10 +184,10 @@ class _ScaledCore:
     the range the slice was chosen for.
     """
 
-    def __init__(self, l, cfg: SolverConfig, c: Constants, z: int, a_range, masses=None):
+    def __init__(self, l, cfg: SolverConfig, c: Constants, z: int, a_range):
         if l < 0:
             raise ValueError(f"l must be >= 0, got {l}")
-        self.masses = masses if masses is not None else (c.m_e, c.m_p)
+        self.masses = (c.m_e, c.m_p)
         self.a_range = a_range
         a_lo = a_range[0]
         p, w = _momentum_grid(a_lo, cfg.quad_nodes)
@@ -235,19 +235,13 @@ class _ScaledCore:
         return np.linalg.eigvalsh(self.l_inv @ h @ self.l_inv.T)
 
 
-def build_matrices(
-    l: int,
-    cfg: SolverConfig,
-    c: Constants,
-    z: int = 1,
-    masses: tuple | None = None,
-) -> SSOperatorMatrices:
+def build_matrices(l: int, cfg: SolverConfig, c: Constants, z: int = 1) -> SSOperatorMatrices:
     """Operator matrices for orbital momentum l at the configured scale."""
     a = 1.0 / _resolve_scale(cfg, c, z)
-    core = _ScaledCore(l, cfg, c, z, (a, a), masses)
+    core = _ScaledCore(l, cfg, c, z, (a, a))
     kinetic_binding = core.kinetic(a)
     return SSOperatorMatrices(
-        kinetic=kinetic_binding + sum(core.masses) * core.overlap,
+        kinetic=kinetic_binding + (c.m_e + c.m_p) * core.overlap,
         potential=a * core.v1,
         overlap=core.overlap,
         kinetic_binding=kinetic_binding,
@@ -418,9 +412,7 @@ def convergence_report(
     rows = []
     previous = None
     for nb in sizes:
-        # the constructor, not _replace, so that the size is checked
-        config = SolverConfig(basis_size=nb, scale=cfg.scale, quad_nodes=cfg.quad_nodes,
-                              scale_search=False)
+        config = cfg._replace(basis_size=nb, scale_search=False)
         value = lowest_levels(l, level_index + 1, config, c, z)[level_index].value
         delta = None if previous is None else value - previous
         rows.append({"basis_size": nb, "value_ev": value, "delta_ev": delta})

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .constants import Constants, DerivedMasses, derive
+from .constants import Constants, DerivedMasses, _CheckedRecord, derive
 from .errors import SupercriticalCharge
 
 SPECTROSCOPIC_LETTERS = "SPDFGHIK"
@@ -25,7 +25,7 @@ class _QuantumState(NamedTuple):
     l: int
 
 
-class QuantumState(_QuantumState):
+class QuantumState(_CheckedRecord, _QuantumState):
     """Radial (k) and orbital (l) quantum numbers of a spinless level."""
 
     __slots__ = ()
@@ -51,7 +51,7 @@ class _DiracState(NamedTuple):
     two_j: int
 
 
-class DiracState(_DiracState):
+class DiracState(_CheckedRecord, _DiracState):
     """Principal quantum number n and total angular momentum j.
 
     j is stored doubled (two_j) so that half-integers never enter hash keys.
@@ -69,17 +69,12 @@ class DiracState(_DiracState):
             raise ValueError(f"j + 1/2 must not exceed n (n={self.n}, two_j={self.two_j})")
         return self
 
-    @property
-    def j(self) -> float:
-        return self.two_j / 2.0
-
 
 class ComplexMass(NamedTuple):
-    """Centered eigenmass: real part, imaginary part and branch sign."""
+    """Centered eigenmass: real and imaginary part (MeV)."""
 
     re: float
     im: float
-    sign: int = 1
 
     def width(self) -> float:
         # total width Gamma = 2|M_im|
@@ -207,18 +202,15 @@ def qc_root_gaps(
     return s_plus, gap_low, gap_high
 
 
-def qc_complex_mass(
-    s: QuantumState, d: DerivedMasses, c: Constants, antiparticle: bool = False, z: int = 1
-) -> ComplexMass:
-    """Complex eigenmass M_re + i*M_im of the state (or its negative branch).
+def qc_complex_mass(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1) -> ComplexMass:
+    """Complex eigenmass M_re + i*M_im of the state.
 
     M_im^2 = 2(|eps^2| - Re eps^2) is evaluated as 2 b^2/(|eps^2| + e_N^2).
     """
     _, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c, z)
     re = math.sqrt(2.0 * (abs_eps2 + e2))
     im = b * math.sqrt(2.0 / (abs_eps2 + e2))
-    sign = -1 if antiparticle else 1
-    return ComplexMass(re=sign * re, im=sign * im, sign=sign)
+    return ComplexMass(re=re, im=im)
 
 
 def qc_level(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1) -> EnergyLevel:

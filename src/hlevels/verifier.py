@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import Constants, DerivedMasses
+from .constants import Constants, DerivedMasses, _CheckedRecord
 from .errors import NoBoundRegion, QuadratureFailure
 from .potential import PotentialParams, potential_r
 from .quadrature import gauss_legendre
@@ -24,6 +24,11 @@ _SCAN_POINTS = 3000
 _SCAN_LOG10_LO = -6.0
 _SCAN_LOG10_HI = 9.0
 _BISECT_RTOL = 4.0 * np.finfo(float).eps  # well below the 1e-13 requirement
+_PHASE_RTOL = 1.0e-9  # two successive phase integrals agree to this
+# the largest node count tried: the states of Z 1-274, lambda 0.84-8.4e6 MeV,
+# k <= 30 and l <= 7 that have a bound region converge by 256 nodes, k = 150,
+# l = 0 at Z = 137 by 512, and building the rule costs about n^3
+_PHASE_MAX_NODES = 1024
 
 
 def angular_eigenmomentum(l: int) -> float:
@@ -43,14 +48,15 @@ class _RadialProblem(NamedTuple):
     m_l: float
 
 
-class RadialProblem(_RadialProblem):
+class RadialProblem(_CheckedRecord, _RadialProblem):
     """Radial radicand K(s)*[s - M(r)^2] - (l+1/2)^2/r^2 at trial mass^2 s.
 
     s_gap_high holds m_plus^2 - s.  When s is a root of the eigenmass
     quadratic the gap is supplied in closed form (see qc_root_gaps); the
     radicand then expands the square of the mass function so that the
     near-total cancellation of s against m_plus^2 never occurs in floats.
-    k_factor and m_l are computed from the other fields.
+    k_factor and m_l are computed from the other fields, also by _replace,
+    which refuses to set them; it keeps s_gap_high unless that is replaced too.
     """
 
     __slots__ = ()
@@ -63,8 +69,13 @@ class RadialProblem(_RadialProblem):
                                angular_eigenmomentum(l))
 
     def __getnewargs__(self):
-        # pickle and copy pass these to __new__
+        # pickle, copy and _make pass these to __new__
         return self[:5]
+
+    def _replace(self, **changes):
+        if changes.keys() & {"k_factor", "m_l"}:
+            raise ValueError("k_factor and m_l follow from the other fields")
+        return super()._replace(**changes)
 
     def radicand(self, r: float) -> float:
         return self.p_squared(r) - (self.m_l / r) ** 2
@@ -81,7 +92,7 @@ class _TurningPoints(NamedTuple):
     r2: float
 
 
-class TurningPoints(_TurningPoints):
+class TurningPoints(_CheckedRecord, _TurningPoints):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -129,36 +140,36 @@ def _bisect(f, a: float, b: float, fa: float) -> float:
             return xm
 
 
-def phase_integral(
-    p: RadialProblem,
-    tps: TurningPoints = None,
-    rtol: float = 1.0e-9,
-    max_nodes: int = 8192,
-) -> float:
+def phase_integral(p: RadialProblem, tps: TurningPoints = None) -> float:
     """Action integral of sqrt(radicand) between the turning points.
 
     The substitution r = r1 + (r2-r1)*sin^2(theta) removes the
     inverse-square-root endpoint behavior; Gauss-Legendre node counts are
-    doubled until two successive values agree to rtol.
+    doubled from 32 until two successive values agree to _PHASE_RTOL.  A
+    value that is not finite, or no agreement by _PHASE_MAX_NODES nodes,
+    raises QuadratureFailure.
     """
     if tps is None:
         tps = find_turning_points(p)
     d = tps.r2 - tps.r1
-    previous = None
+    previous = math.nan  # agrees with no value
     n = 32
-    while n <= max_nodes:
+    while n <= _PHASE_MAX_NODES:
         x, w = gauss_legendre(n)
         theta = (math.pi / 4.0) * (x + 1.0)
         r = tps.r1 + d * np.sin(theta) ** 2
         q = np.array([max(p.radicand(ri), 0.0) for ri in r])
         value = (math.pi / 4.0) * float(np.sum(w * np.sqrt(q) * d * np.sin(2.0 * theta)))
-        if previous is not None and abs(value - previous) <= rtol * abs(value):
+        if not math.isfinite(value):
+            raise QuadratureFailure(f"phase integral is {value} at {n} nodes")
+        delta = abs(value - previous)
+        if delta <= _PHASE_RTOL * abs(value):
             return value
         previous = value
         n *= 2
     raise QuadratureFailure(
-        f"phase integral not converged to rtol={rtol} at {max_nodes} nodes "
-        f"(last delta {abs(value - previous):.3e})"
+        f"phase integral not converged to rtol={_PHASE_RTOL:g} at {_PHASE_MAX_NODES} nodes "
+        f"(last delta {delta:.3e})"
     )
 
 

@@ -178,6 +178,14 @@ def test_verify_at_z_2_uses_the_z_2_root(capsys):
     assert "within" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_verify_refuses_a_lambda_that_is_not_finite(capsys, value):
+    # the phase integral of such a potential is not finite: refused before any state runs
+    code, out, err = run(capsys, "verify", "--lambda-mev", value)
+    assert code == 1 and out == ""
+    assert err == f"error: alpha and lambda must be finite, got 0.0072973525664, {value}\n"
+
+
 def test_constants_refuses_z(capsys):
     code, out, err = run(capsys, "constants", "--z", "2")
     assert (code, out) == (2, "")

@@ -1,15 +1,12 @@
 import math
-from pathlib import Path
 
 import pytest
 
 from hlevels import (
     Constants,
-    default_constants,
     derive,
-    load_constants,
     rydberg_constant,
-    rydberg_energy,
+    schrodinger_level,
 )
 
 
@@ -64,50 +61,29 @@ def test_rydberg_constant_scaling(C):
     assert rydberg_constant(Constants(m_e=C.m_e / 2)) == pytest.approx(base / 2, rel=1e-12)
 
 
+# the Rydberg energy m*alpha^2/2 (m = m_e or mu) is the 1S Schrodinger binding energy
+
 def test_rydberg_energy_electron_mass(C):
-    assert rydberg_energy(C) == pytest.approx(13.605693, abs=1e-5)
+    rydberg = -schrodinger_level(1, C).value
+    assert rydberg == pytest.approx(13.605693, abs=1e-5)
     # frozen extended-precision value
-    assert rydberg_energy(C) == pytest.approx(13.60569301, abs=1e-7)
+    assert rydberg == pytest.approx(13.60569301, abs=1e-7)
 
 
 def test_rydberg_energy_reduced_mass(C):
     # frozen extended-precision value of mu*alpha^2/2 with these constants
-    assert rydberg_energy(C, use_reduced=True) == pytest.approx(13.59828715, abs=1e-7)
-    assert rydberg_energy(C, use_reduced=True) < rydberg_energy(C)
+    rydberg = -schrodinger_level(1, C, use_reduced=True).value
+    assert rydberg == pytest.approx(13.59828715, abs=1e-7)
+    assert rydberg < -schrodinger_level(1, C).value
 
 
 def test_rydberg_energy_small_alpha():
     c = Constants(alpha=1e-8)
-    assert 0.0 < rydberg_energy(c) < 1e-9
+    assert 0.0 < -schrodinger_level(1, c).value < 1e-9
 
 
 def test_energy_over_wavenumber_is_hc(C):
     # E/R_inf = h*c; hbar_c in MeV*fm converts by 1e6 eV/MeV * 1e-15 m/fm
-    ratio = rydberg_energy(C) / rydberg_constant(C)
+    ratio = -schrodinger_level(1, C).value / rydberg_constant(C)
     hc = 2.0 * math.pi * C.hbar_c * 1e-9
     assert ratio == pytest.approx(hc, rel=1e-12)
-
-
-def test_load_constants_from_text():
-    c = load_constants("alpha = 7.0e-3\n# comment\n\nm_e_mev=0.5\n")
-    assert c.alpha == 7.0e-3
-    assert c.m_e == 0.5
-    assert c.m_p == default_constants().m_p
-
-
-def test_load_constants_from_path(tmp_path: Path):
-    f = tmp_path / "c.cfg"
-    f.write_text("m_p_mev=938.0\nhbar_c=197.0\n", encoding="utf-8")
-    c = load_constants(f)
-    assert c.m_p == 938.0
-    assert c.hbar_c == 197.0
-
-
-def test_load_constants_rejects_unknown_key():
-    with pytest.raises(ValueError, match="line 1"):
-        load_constants("mass=1.0\n")
-
-
-def test_load_constants_rejects_bad_number():
-    with pytest.raises(ValueError):
-        load_constants("alpha=seven\n")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -19,7 +21,6 @@ from hlevels import (
 )
 from hlevels.harness import (
     TABLE_STATES,
-    table1_from_csv,
     table1_to_csv,
     table1_to_text,
     table2_to_csv,
@@ -213,7 +214,10 @@ def test_generate_table2_unavailable_cells():
 
 def test_table1_csv_round_trip():
     rows = published_table1()
-    again = table1_from_csv(table1_to_csv(rows))
+    records = list(csv.reader(io.StringIO(table1_to_csv(rows))))
+    models = ["kg", "ss", "qc", "nist"]
+    assert records[0] == ["state", *models]
+    again = [{"state": r[0], **dict(zip(models, map(float, r[1:])))} for r in records[1:]]
     assert again == rows  # exact at 17 significant digits
 
 

@@ -7,14 +7,11 @@ from hypothesis import given, strategies as st
 from hlevels import (
     DEFAULT_LAMBDA_MEV,
     PotentialParams,
+    RadialProblem,
     default_params,
-    mass_function,
-    particle_mass,
     potential_r,
-    running_alpha_q,
     running_alpha_r,
 )
-from hlevels.potential import form_factor
 
 
 @pytest.fixture(scope="module")
@@ -31,35 +28,15 @@ def test_params_validation():
         PotentialParams(alpha=7e-3, z=0)
     with pytest.raises(ValueError):
         PotentialParams(alpha=7e-3, z=1.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^alpha and lambda must be finite"):
+            PotentialParams(alpha=7e-3, lam=bad)
+        with pytest.raises(ValueError, match="^alpha and lambda must be finite"):
+            PotentialParams(alpha=bad)
 
 
 def test_default_lambda(P):
     assert P.lam == DEFAULT_LAMBDA_MEV == 840.0
-
-
-def test_form_factor_values(P):
-    assert form_factor(0.0, P) == 1.0
-    assert form_factor(P.lam, P) == pytest.approx(0.25, rel=1e-15)
-    assert form_factor(840.0, PotentialParams(alpha=P.alpha, lam=840.0)) == pytest.approx(0.25)
-
-
-@given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=1e-6, max_value=1e6))
-def test_form_factor_non_increasing(q, dq):
-    p = PotentialParams(alpha=7.2973525664e-3)
-    assert form_factor(q + dq, p) <= form_factor(q, p)
-
-
-def test_form_factor_strictly_decreasing_on_resolved_points():
-    p = PotentialParams(alpha=7.2973525664e-3)
-    qs = [0.0, 1.0, 10.0, 100.0, 840.0, 1e4, 1e6]
-    values = [form_factor(q, p) for q in qs]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_running_alpha_q_limits(P):
-    assert running_alpha_q(0.0, P) == P.alpha
-    assert running_alpha_q(1e12, P) < 1e-30
-    assert running_alpha_q(P.lam, P) == pytest.approx(P.alpha / 4.0, rel=1e-15)
 
 
 def test_running_alpha_r_values(P):
@@ -113,15 +90,10 @@ def test_z_scales_linearly(P):
     assert potential_r(2.0, p2) == pytest.approx(3.0 * potential_r(2.0, P), rel=1e-15)
 
 
-def test_mass_function(C, D, P):
-    assert mass_function(0.0, P, D) == D.m_plus
-    assert mass_function(1e9, P, D) == pytest.approx(D.m_plus, rel=1e-12)
-    r = 3.7
-    assert mass_function(r, P, D) == pytest.approx(D.m_plus + potential_r(r, P), rel=1e-15)
-
-
-@given(st.floats(min_value=1e-6, max_value=1e6))
-def test_particle_masses_sum_to_mass_function(C, D, r):
-    p = default_params(C)
-    total = particle_mass(r, p, C.m_e) + particle_mass(r, p, C.m_p)
-    assert total == pytest.approx(mass_function(r, p, D), rel=1e-15)
+def test_mass_function(D, P):
+    # the radial equation's p^2 = K(s) [s - M(r)^2] with mass function M = m_plus + W(r)
+    problem = RadialProblem(s=2.0e6, l=0, params=P, derived=D)
+    for r in (0.0, 1e-3, 3.7, 1e9):
+        mass = D.m_plus + potential_r(r, P)
+        expected = problem.k_factor * (problem.s - mass * mass)
+        assert problem.p_squared(r) == pytest.approx(expected, rel=1e-12)

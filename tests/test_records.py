@@ -51,8 +51,8 @@ RECORDS = {
                      "QuantumState(k=0, l=1)"),
     "DiracState": (lambda: DiracState(2, 3), lambda: DiracState(2, 1),
                    "DiracState(n=2, two_j=3)"),
-    "ComplexMass": (lambda: ComplexMass(1.5, -0.25), lambda: ComplexMass(1.5, -0.25, -1),
-                    "ComplexMass(re=1.5, im=-0.25, sign=1)"),
+    "ComplexMass": (lambda: ComplexMass(1.5, -0.25), lambda: ComplexMass(1.5, 0.25),
+                    "ComplexMass(re=1.5, im=-0.25)"),
     "EnergyLevel": (lambda: EnergyLevel(-13.6, "kg", QuantumState(0, 0)),
                     lambda: EnergyLevel(-13.6, "qc", QuantumState(0, 0)),
                     "EnergyLevel(value=-13.6, model='kg', state=QuantumState(k=0, l=0))"),
@@ -159,10 +159,19 @@ def test_a_record_is_the_tuple_of_its_fields():
      "basis_size 64 needs quad_nodes >= 128, have 100"),
     (TurningPoints, {"r1": 0.0, "r2": 1.0}, "need 0 < r1 < r2, got 0.0, 1.0"),
     (TurningPoints, {"r1": 2.0, "r2": 1.0}, "need 0 < r1 < r2, got 2.0, 1.0"),
+    (PotentialParams, {"alpha": 0.1, "lam": float("inf")},
+     "alpha and lambda must be finite, got 0.1, inf"),
+    (PotentialParams, {"alpha": float("nan")}, "alpha and lambda must be finite, got nan, 840.0"),
+    (RadialProblem, {"s": 2.0e6, "l": -1, "params": _P, "derived": _D}, "l must be >= 0, got -1"),
 ])
 def test_invalid_input_raises_value_error(cls, kwargs, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        cls(**kwargs)
+    # the constructor, and _replace and _make of a valid record, check alike
+    valid = RECORDS[cls.__name__][0]()
+    for build in (lambda: cls(**kwargs),
+                  lambda: valid._replace(**kwargs),
+                  lambda: cls._make({**valid._asdict(), **kwargs}.values())):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_asdict_keeps_the_field_order():
@@ -188,6 +197,12 @@ def test_radial_problem_computes_its_derived_fields():
     assert computed.m_l == 2.5
     given = RadialProblem(s, 2, _P, _D, 1.0)
     assert given.s_gap_high == 1.0 and given.k_factor == computed.k_factor
+    # _replace computes them again and keeps a given s_gap_high
+    replaced = given._replace(s=2.0 * s, l=0)
+    assert replaced.k_factor == (1.0 - _D.m_minus**2 / (2.0 * s)) / 4.0
+    assert replaced.m_l == 0.5 and replaced.s_gap_high == 1.0
+    with pytest.raises(ValueError, match="^k_factor and m_l follow from the other fields$"):
+        given._replace(m_l=0.5)
 
 
 def test_convergence_report_checks_each_basis_size():

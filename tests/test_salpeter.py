@@ -100,28 +100,15 @@ def test_free_threshold_with_tiny_coupling(D):
     assert full[0] >= D.m_plus * (1.0 - 1e-10)
 
 
-def test_equal_mass_kinetic_is_twice_single_mass(C):
+def test_kinetic_is_the_sum_of_the_single_mass_operators(C):
     cfg = small_cfg()
-    m_equal = build_matrices(0, cfg, C, masses=(C.m_e, C.m_e))
-    # single square-root operator built from the exposed internals
+    m = build_matrices(0, cfg, C)
+    # the single square-root operators built from the exposed internals
     a = 1.0 / _resolve_scale(cfg, C)
     p, w = _momentum_grid(a, cfg.quad_nodes)
     phi = _momentum_basis(p, cfg.basis_size, 0, a)
-    single = (phi * (w * p * p * _tau(p, C.m_e))) @ phi.T
-    assert np.allclose(m_equal.kinetic_binding, 2.0 * single, rtol=1e-12, atol=1e-12)
-
-
-def test_equal_mass_reduction_matches_single_operator_solver(C):
-    cfg = small_cfg(basis_size=32)
-    m = build_matrices(0, cfg, C, masses=(C.m_e, C.m_e))
-    two_body = eigh(m.kinetic_binding + m.potential, m.overlap, eigvals_only=True)
-    a = 1.0 / _resolve_scale(cfg, C)
-    p, w = _momentum_grid(a, cfg.quad_nodes)
-    phi = _momentum_basis(p, cfg.basis_size, 0, a)
-    doubled_single = 2.0 * ((phi * (w * p * p * _tau(p, C.m_e))) @ phi.T)
-    independent = eigh(doubled_single + m.potential, m.overlap, eigvals_only=True)
-    for x, y in zip(two_body[:4], independent[:4]):
-        assert x == pytest.approx(y, rel=1e-6)
+    electron, proton = ((phi * (w * p * p * _tau(p, mass))) @ phi.T for mass in (C.m_e, C.m_p))
+    assert np.allclose(m.kinetic_binding, electron + proton, rtol=1e-12, atol=1e-12)
 
 
 def test_ground_state_value(C):

@@ -86,7 +86,6 @@ def test_principal_numbers_agree(k, l):
 
 def test_dirac_state_validation():
     DiracState(n=1, two_j=1)
-    assert DiracState(n=2, two_j=3).j == 1.5
     with pytest.raises(ValueError):
         DiracState(n=0, two_j=1)
     with pytest.raises(ValueError):
@@ -218,13 +217,6 @@ def test_qc_complex_mass_identities(C, D):
         abs_eps2 = math.hypot(e2, b)
         assert m.re * m.im == pytest.approx(2.0 * b, rel=1e-10)
         assert m.re**2 + m.im**2 == pytest.approx(4.0 * abs_eps2, rel=1e-10)
-
-
-def test_qc_antiparticle_branch(C, D):
-    m = qc_complex_mass(QuantumState(0, 0), D, C)
-    a = qc_complex_mass(QuantumState(0, 0), D, C, antiparticle=True)
-    assert (a.re, a.im, a.sign) == (-m.re, -m.im, -1)
-    assert a.width() == m.width()
 
 
 def test_qc_level_oracle_values(C, D):

@@ -8,8 +8,10 @@ from scipy.optimize import brentq
 
 from hlevels import (
     NoBoundRegion,
+    QuadratureFailure,
     QuantumState,
     RadialProblem,
+    TurningPoints,
     analytic_i_infinity,
     angular_eigenmomentum,
     default_params,
@@ -102,6 +104,21 @@ def test_phase_integral_monotone_in_s(C, D, P):
         )
         values.append(phase_integral(p))
     assert values[0] < values[1] < values[2]
+
+
+def test_phase_integral_refuses_a_value_that_is_not_finite(C, D, P):
+    p = RadialProblem(s=_problem(C, D, P).s, l=0, params=P, derived=D, s_gap_high=math.nan)
+    with pytest.raises(QuadratureFailure, match="^phase integral is nan at 32 nodes$"):
+        phase_integral(p, TurningPoints(1.0, 2.0))
+
+
+def test_phase_integral_gives_up_at_its_node_cap(C, D, P):
+    # past r2 the radicand is clipped to 0, a kink that Gauss-Legendre resolves only slowly
+    p = _problem(C, D, P)
+    tps = find_turning_points(p)
+    with pytest.raises(QuadratureFailure, match=r"^phase integral not converged to rtol=1e-09 "
+                                                r"at 1024 nodes \(last delta [1-9]"):
+        phase_integral(p, TurningPoints(tps.r1, 2.0 * tps.r2))
 
 
 def test_analytic_i_infinity_at_roots(C, D):
