@@ -57,4 +57,3 @@ def potential_r(r: float, p: PotentialParams) -> float:
     if r == 0.0:
         return 0.0
     return -p.z * running_alpha_r(r, p) / r
-
