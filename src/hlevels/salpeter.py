@@ -11,8 +11,11 @@ difference of ~1 GeV quantities.
 
 The basis is scale covariant, phi_n(a*u; a) = a^(-3/2) phi_n(u; 1) with
 u = p/a, so the overlap does not depend on the scale a and the Coulomb
-matrix is linear in a.  A scale trial therefore costs one kinetic Gram
-product and one symmetric eigensolve on a basis evaluated once.
+matrix is linear in a.  The basis is evaluated once, weighted by the
+momentum quadrature as B = phi*sqrt(w): the overlap is S = B B^T and the
+kinetic matrix at scale a is (B sqrt(tau)) (B sqrt(tau))^T, each one
+symmetric rank-k product (BLAS syrk) and exactly symmetric.  A scale trial
+therefore costs one such product and one symmetric eigensolve.
 
 The momentum grid spans 40 octaves below the basis and reaches
 p = 1e6 MeV above it, and the overlap check uses every node.  The kinetic
@@ -100,43 +103,37 @@ def _basis_norms(nb: int, l: int, a: float) -> np.ndarray:
     return np.exp(0.5 * (3.0 * math.log(2.0 * a) + _lgamma(n + 1) - _lgamma(n + 2 * l + 3)))
 
 
-def _momentum_basis(p: np.ndarray, nb: int, l: int, a: float) -> np.ndarray:
-    """Momentum-space basis functions, shape (nb, len(p)).
+def _momentum_basis(p: np.ndarray, nb: int, l: int, a: float, root_weight=1.0) -> np.ndarray:
+    """Momentum-space basis functions times root_weight, shape (nb, len(p)).
 
     Transform of the Laguerre-(2l+1) layer is
         2^(2l+1) l! (j+l+1) a^(l+1) p^l (p^2+a^2)^-(l+2) C_j^{(l+1)}(y),
     y = (p^2-a^2)/(p^2+a^2); the (2l+2) basis is its cumulative sum via
-    L_n^{(2l+2)} = sum_j L_j^{(2l+1)}.
+    L_n^{(2l+2)} = sum_j L_j^{(2l+1)}.  The layers D_j = (j+l+1) C_j^{(l+1)}
+    follow from the Gegenbauer recurrence as
+        D_{j+1} = (j+l+2)/(j+1) * (2y D_j - (j+2l+1)/(j+l) * D_{j-1}),
+    run with their sums on scratch rows in one pass over the rows; one pass
+    over the nodes applies the prefactor and root_weight.
     """
-    y = (p * p - a * a) / (p * p + a * a)
-    lam = l + 1.0
-    cg = np.empty((nb, p.size))
-    cg[0] = 1.0
-    if nb > 1:
-        cg[1] = 2.0 * lam * y
-    # in place, in the float order of ((2(j+lam) * y) * C_j - (j+2lam-1) * C_{j-1}) / (j+1)
-    lower = np.empty(p.size)
-    for j in range(1, nb - 1):
-        np.multiply(y, 2.0 * (j + lam), out=cg[j + 1])
-        cg[j + 1] *= cg[j]
-        np.multiply(cg[j - 1], j + 2.0 * lam - 1.0, out=lower)
-        cg[j + 1] -= lower
-        cg[j + 1] /= j + 1.0
-    prefactor = (
-        math.sqrt(2.0 / math.pi)
-        * 2.0 ** (2 * l + 1)
-        * math.factorial(l)
-        * a ** (l + 1)
-        * p**l
-        / (p * p + a * a) ** (l + 2)
-    )
-    # in place, in the float order of (j+l+1) * C_j * prefactor, cumsum, norms
-    cg *= (np.arange(nb) + l + 1)[:, None]
-    cg *= prefactor
-    for j in range(1, nb):  # the sums of np.cumsum(axis=0), five times faster row by row
-        cg[j] += cg[j - 1]
-    cg *= _basis_norms(nb, l, a)[:, None]
-    return cg
+    y2 = 2.0 * (p * p - a * a) / (p * p + a * a)
+    norms = _basis_norms(nb, l, a)
+    out = np.empty((nb, p.size))
+    # D_{j-1}, D_j, the sum of D_i over i <= j, and scratch
+    prev, cur, lower = np.full(p.size, l + 1.0), (l + 2.0) * (l + 1.0) * y2, np.empty(p.size)
+    total = prev.copy()
+    np.multiply(total, norms[0], out=out[0])
+    for j in range(1, nb):
+        total += cur
+        np.multiply(total, norms[j], out=out[j])
+        np.multiply(prev, (j + 2.0 * l + 1.0) / (j + l), out=lower)
+        np.multiply(y2, cur, out=prev)  # D_{j+1} into prev's row
+        prev -= lower
+        prev *= (j + l + 2.0) / (j + 1.0)
+        prev, cur = cur, prev
+    prefactor = (math.sqrt(2.0 / math.pi) * 2.0 ** (2 * l + 1) * math.factorial(l)
+                 * a ** (l + 1) * p**l / (p * p + a * a) ** (l + 2))
+    out *= prefactor * root_weight
+    return out
 
 
 def _momentum_grid(a: float, total_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,20 +165,22 @@ def _coulomb_matrix(nb: int, l: int, a: float, alpha: float, z: int) -> np.ndarr
 class _ScaledCore:
     """Scale-free operator parts for one orbital momentum and basis size.
 
-    Built for inverse scales a in a_range = (a_lo, a_hi).  The overlap S is
-    formed on the full grid in u = p/a, which reaches p = _P_MAX_MEV at
-    a_lo.  S is the identity analytically; a grid that aliases the basis
-    moves it away, and the variational search then finds spurious low
-    levels, so such a grid raises IllConditionedBasis.  The core also holds
-    the unit-scale Coulomb matrix V1 and L^-1 with S = L L^T.
+    Built for inverse scales a in a_range = (a_lo, a_hi) from one array,
+    B = phi*sqrt(w u^2/a_lo) on the full grid in u = p/a, which reaches
+    p = _P_MAX_MEV at a_lo.  The overlap S = B B^T is the identity
+    analytically; a grid that aliases the basis moves it away, and the
+    variational search then finds spurious low levels, so such a grid raises
+    IllConditionedBasis.  The core also holds the unit-scale Coulomb matrix
+    V1 and L^-1 with S = L L^T.
 
     The kinetic product runs over one contiguous slice of the grid.  Node i
-    adds g_i*tau(a*u_i) to trace(K(a)), with g_i = w_i u_i^2 sum_n phi_n(u_i)^2,
-    and the slice spans every node whose share exceeds
+    adds g_i*tau(a*u_i) to trace(K(a)), with g_i = sum_n B_ni^2, and the
+    slice spans every node whose share exceeds
     _KINETIC_SCREEN * trace(K(a)) / basis_size at a_lo or at a_hi.  Nodes
     outside it change no matrix element beyond round-off, and skipping them
-    halves the cost of a trial or better.  kinetic(a) refuses an a outside
-    the range the slice was chosen for.
+    halves the cost of a trial or better.  The core keeps B on that slice
+    alone, and K(a) = (B sqrt(tau)) (B sqrt(tau))^T.  kinetic(a) refuses an
+    a outside the range the slice was chosen for.
     """
 
     def __init__(self, l, cfg: SolverConfig, c: Constants, z: int, a_range):
@@ -192,19 +191,15 @@ class _ScaledCore:
         a_lo = a_range[0]
         p, w = _momentum_grid(a_lo, cfg.quad_nodes)
         u = p / a_lo
-        weight = w / a_lo * u * u
-        phi = _momentum_basis(u, cfg.basis_size, l, 1.0)
-        phi_w = phi * weight
-        overlap = phi_w @ phi.T
-        self.overlap = 0.5 * (overlap + overlap.T)
+        b = _momentum_basis(u, cfg.basis_size, l, 1.0, np.sqrt(w / a_lo * u * u))
+        self.overlap = b @ b.T  # one syrk: exactly symmetric
         defect = float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size))))
         if not defect <= _OVERLAP_DEFECT_MAX:  # NaN fails too
             raise IllConditionedBasis(
                 f"overlap deviates from the identity by {defect:.3e} "
                 f"(limit {_OVERLAP_DEFECT_MAX:g}); the momentum grid is too coarse for the basis"
             )
-        g = np.einsum("ij,ij->j", phi, phi_w)
-        del phi_w
+        g = np.einsum("ij,ij->j", b, b)
         kept = np.zeros(u.size, dtype=bool)
         for a in set(a_range):  # one pass at a fixed scale
             share = g * self._tau_sum(a * u)
@@ -212,8 +207,11 @@ class _ScaledCore:
         first, last = np.flatnonzero(kept)[[0, -1]]
         self.kept = slice(int(first), int(last) + 1)
         self.u = u[self.kept]
-        self.weight = weight[self.kept]
-        self.phi = np.ascontiguousarray(phi[:, self.kept])
+        # the kept columns move to the front of b's memory: contiguous, with no second nb x N array
+        width, flat = self.u.size, b.reshape(-1)
+        for row in range(cfg.basis_size):
+            flat[row * width:(row + 1) * width] = b[row, self.kept]
+        self.b = flat[:cfg.basis_size * width].reshape(cfg.basis_size, width)
         self.v1 = _coulomb_matrix(cfg.basis_size, l, 1.0, c.alpha, z)
         self.l_inv = np.linalg.inv(np.linalg.cholesky(self.overlap))
 
@@ -226,8 +224,8 @@ class _ScaledCore:
         if not a_lo <= a <= a_hi:
             raise ValueError(f"inverse scale {a!r} MeV is outside the range "
                              f"[{a_lo!r}, {a_hi!r}] MeV this core was screened for")
-        b = self.phi * np.sqrt(self.weight * self._tau_sum(a * self.u))
-        return b @ b.T  # B B^T is exactly symmetric
+        b = self.b * np.sqrt(self._tau_sum(a * self.u))
+        return b @ b.T  # one syrk: exactly symmetric
 
     def spectrum(self, a: float) -> np.ndarray:
         """Ascending binding eigenvalues (MeV) at inverse scale a."""

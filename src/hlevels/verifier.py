@@ -56,7 +56,7 @@ class RadialProblem(_CheckedRecord, _RadialProblem):
     radicand then expands the square of the mass function so that the
     near-total cancellation of s against m_plus^2 never occurs in floats.
     k_factor and m_l are computed from the other fields, also by _replace,
-    which refuses to set them; it keeps s_gap_high unless that is replaced too.
+    which refuses to set them; it computes s_gap_high again when s or derived change without it.
     """
 
     __slots__ = ()
@@ -75,6 +75,8 @@ class RadialProblem(_CheckedRecord, _RadialProblem):
     def _replace(self, **changes):
         if changes.keys() & {"k_factor", "m_l"}:
             raise ValueError("k_factor and m_l follow from the other fields")
+        if changes.keys() & {"s", "derived"}:
+            changes.setdefault("s_gap_high", None)
         return super()._replace(**changes)
 
     def radicand(self, r: float) -> float:

@@ -264,7 +264,7 @@ def test_cli_reports_the_grid_a_basis_needs(capsys):
 def test_salpeter_refuses_a_level_past_the_widest_bracket():
     # a search scale 3700 Bohr lengths off puts 1S past the bracket's 1024-fold widening;
     # the search that did not widen printed 1S = -4.578 eV
-    message = "1S: the scale search still ends on its lower edge, 48.8363 1/MeV, after widening"
+    message = "1S: the scale search still ends on its lower edge, 48.8291 1/MeV, after widening"
     with pytest.raises(ScaleSearchFailure, match=f"^{message} it 1024-fold$"):
         salpeter_levels([QuantumState(0, 0)], SolverConfig(scale=1e6), default_constants())
 

@@ -197,12 +197,22 @@ def test_radial_problem_computes_its_derived_fields():
     assert computed.m_l == 2.5
     given = RadialProblem(s, 2, _P, _D, 1.0)
     assert given.s_gap_high == 1.0 and given.k_factor == computed.k_factor
-    # _replace computes them again and keeps a given s_gap_high
+    # _replace computes them again; a given s_gap_high stays while s and derived do
     replaced = given._replace(s=2.0 * s, l=0)
     assert replaced.k_factor == (1.0 - _D.m_minus**2 / (2.0 * s)) / 4.0
-    assert replaced.m_l == 0.5 and replaced.s_gap_high == 1.0
+    assert replaced.m_l == 0.5 and replaced.s_gap_high == _D.m_plus**2 - 2.0 * s
+    assert given._replace(l=0).s_gap_high == 1.0
     with pytest.raises(ValueError, match="^k_factor and m_l follow from the other fields$"):
         given._replace(m_l=0.5)
+
+
+def test_radial_problem_replace_computes_the_gap_of_the_new_s():
+    # a copy with another s or other masses gets its own m_plus^2 - s unless one is given
+    problem = RadialProblem(s=2.0e6, l=0, params=_P, derived=_D)
+    assert problem._replace(s=4.0e6).s_gap_high == _D.m_plus**2 - 4.0e6
+    heavier = _D._replace(m_plus=2.0 * _D.m_plus)
+    assert problem._replace(derived=heavier).s_gap_high == heavier.m_plus**2 - 2.0e6
+    assert problem._replace(s=4.0e6, s_gap_high=1.0).s_gap_high == 1.0
 
 
 def test_convergence_report_checks_each_basis_size():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,20 @@ def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, 
     assert core.kept.stop - core.kept.start < u.size
 
 
+def test_core_build_holds_one_basis_array(C):
+    # a build holds one basis-size by node-count array, B = phi sqrt(w), and no second one
+    cfg = SolverConfig(basis_size=128, scale_search=False)
+    a = 1.0 / _resolve_scale(cfg, C)
+    nodes = _momentum_grid(a, cfg.quad_nodes)[0].size
+    tracemalloc.start()
+    try:
+        _ScaledCore(0, cfg, C, 1, (a, a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cfg.basis_size * nodes * 8
+
+
 def test_basis_256_is_ill_conditioned(C):
     cfg = SolverConfig(basis_size=256, quad_nodes=4096, scale_search=False)
     with pytest.raises(IllConditionedBasis):
@@ -402,19 +417,18 @@ def test_golden_section_value_stop():
         assert len(calls) == _golden_section_evaluations(lo, hi)
 
 
-def _allocating_momentum_basis(p, nb, l, a):
-    # the whole-row recurrence and np.cumsum that _momentum_basis does in place
-    y = (p * p - a * a) / (p * p + a * a)
-    lam = l + 1.0
-    cg = np.empty((nb, p.size))
-    cg[0] = 1.0
-    cg[1] = 2.0 * lam * y
+def _allocating_momentum_basis(p, nb, l, a, root_weight):
+    # the whole-row recurrence of D_j = (j+l+1) C_j and the np.cumsum that _momentum_basis
+    # runs in place, on scratch rows
+    y2 = 2.0 * (p * p - a * a) / (p * p + a * a)
+    d = np.empty((nb, p.size))
+    d[0] = l + 1.0
+    d[1] = (l + 2.0) * (l + 1.0) * y2
     for j in range(1, nb - 1):
-        cg[j + 1] = (2.0 * (j + lam) * y * cg[j] - (j + 2.0 * lam - 1.0) * cg[j - 1]) / (j + 1.0)
+        d[j + 1] = (y2 * d[j] - (j + 2.0 * l + 1.0) / (j + l) * d[j - 1]) * ((j + l + 2.0) / (j + 1.0))
     prefactor = (math.sqrt(2.0 / math.pi) * 2.0 ** (2 * l + 1) * math.factorial(l)
                  * a ** (l + 1) * p**l / (p * p + a * a) ** (l + 2))
-    cg = np.cumsum(cg * (np.arange(nb) + l + 1)[:, None] * prefactor, axis=0)
-    return cg * _basis_norms(nb, l, a)[:, None]
+    return np.cumsum(d, axis=0) * _basis_norms(nb, l, a)[:, None] * (prefactor * root_weight)
 
 
 @settings(deadline=None, max_examples=30)
@@ -438,7 +452,9 @@ def test_momentum_basis_matches_scipy_gegenbauer(l, nb):
     assert got.shape == (nb, u.size)
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
     # the in-place recurrence and row sums keep the float order of the allocating ones
-    np.testing.assert_array_equal(got, _allocating_momentum_basis(u, nb, l, 1.0))
+    root_weight = np.sqrt(u)
+    np.testing.assert_array_equal(_momentum_basis(u, nb, l, 1.0, root_weight),
+                                  _allocating_momentum_basis(u, nb, l, 1.0, root_weight))
 
 
 def _recording_searches(monkeypatch):
