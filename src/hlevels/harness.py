@@ -140,33 +140,26 @@ def relative_error(t_model: float, t_ref: float) -> float:
     return abs((t_model - t_ref) / t_ref) * 100.0
 
 
-def generate_table1(
-    models=MODELS,
-    states=TABLE_STATES,
-    env: Environment = None,
-) -> list[dict]:
-    """Rows of the energy-comparison table, ordered as requested.
+def generate_table1(env: Environment) -> list[dict]:
+    """Rows of the energy-comparison table, one per state of TABLE_STATES.
 
     Each row maps 'state' to the label and each model name to its energy
     in eV, or None when that cell fails to compute.
     """
-    env = env or Environment()
     reference = env.reference or builtin_reference()
-    states = tuple(states)
     ss_values = {}
-    if "ss" in models:
-        # one solve per l, so that a channel that fails empties only its own cells
-        for l in sorted({st.l for st in states}):
-            try:
-                ss_values.update(salpeter_levels([st for st in states if st.l == l],
-                                                 env.solver, env.constants, z=env.z))
-            except HlevelsError:
-                pass
+    # one solve per l, so that a channel that fails empties only its own cells
+    for l in sorted({st.l for st in TABLE_STATES}):
+        try:
+            ss_values.update(salpeter_levels([st for st in TABLE_STATES if st.l == l],
+                                             env.solver, env.constants, z=env.z))
+        except HlevelsError:
+            pass
     d = derive(env.constants)
     rows = []
-    for st in states:
+    for st in TABLE_STATES:
         row = {"state": st.label}
-        for model in models:
+        for model in MODELS:
             try:
                 if model == "kg":
                     row[model] = kg_level(st, env.z, env.constants).value
@@ -174,17 +167,15 @@ def generate_table1(
                     row[model] = qc_level(st, d, env.constants, env.z).value
                 elif model == "ss":
                     row[model] = ss_values.get(st)
-                elif model == "nist":
+                else:  # nist
                     row[model] = reference.entries.get(st)
-                else:
-                    raise ValueError(f"unknown model {model!r}")
             except HlevelsError:
                 row[model] = None
         rows.append(row)
     return rows
 
 
-def generate_table2(env: Environment = None, table1: list[dict] = None) -> list[dict]:
+def generate_table2(env: Environment, table1: list[dict]) -> list[dict]:
     """Relative-accuracy rows recomputed from live table-1 values.
 
     Each row carries eps_kg/eps_ss/eps_qc (percent), m_im (MeV), and a
@@ -192,9 +183,6 @@ def generate_table2(env: Environment = None, table1: list[dict] = None) -> list[
     published number at 2% relative tolerance (UNAVAILABLE when the
     underlying energy or m_im could not be computed).
     """
-    env = env or Environment()
-    if table1 is None:
-        table1 = generate_table1(env=env)
     d = derive(env.constants)
     rows = []
     for i, t1 in enumerate(table1):
@@ -270,8 +258,7 @@ def table2_to_csv(rows) -> str:
     return format_rows(rows, _TABLE2_CSV, "csv")
 
 
-def tables_to_json(table1, table2, env: Environment = None) -> str:
-    env = env or Environment()
+def tables_to_json(table1, table2, env: Environment) -> str:
     mismatches = [
         {"state": r["state"], "column": column, "flag": flag}
         for r in table2

@@ -37,8 +37,9 @@ class PotentialParams(_CheckedRecord, _PotentialParams):
         return self
 
 
-def default_params(c: Constants, lam: float = DEFAULT_LAMBDA_MEV, z: int = 1) -> PotentialParams:
-    return PotentialParams(alpha=c.alpha, lam=lam, z=z)
+def default_params(c: Constants) -> PotentialParams:
+    """The potential of hydrogen at the default form-factor scale."""
+    return PotentialParams(alpha=c.alpha)
 
 
 def running_alpha_r(r: float, p: PotentialParams) -> float:

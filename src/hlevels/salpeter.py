@@ -52,13 +52,15 @@ _KINETIC_SCREEN = 1.0e-20  # a node's least share of trace(K)/basis_size to ente
 
 class _SolverConfig(NamedTuple):
     basis_size: int = 64
-    scale: float | None = None  # default: Bohr length 1/(mu*Z*alpha)
     quad_nodes: int = 4096
     scale_search: bool = True
 
 
 class SolverConfig(_CheckedRecord, _SolverConfig):
-    """Basis size, variational length scale (1/MeV) and quadrature order."""
+    """Basis size, quadrature order, and whether to search the length scale.
+
+    Without the search the scale is the Bohr length 1/(mu*Z*alpha).
+    """
 
     __slots__ = ()
 
@@ -66,8 +68,6 @@ class SolverConfig(_CheckedRecord, _SolverConfig):
         self = super().__new__(cls, *args, **kwargs)
         if self.basis_size < 4:
             raise ValueError("basis_size must be >= 4")
-        if self.scale is not None and self.scale <= 0.0:
-            raise ValueError("scale must be positive")
         if self.quad_nodes < 2 * self.basis_size:
             raise ValueError(f"basis_size {self.basis_size} needs quad_nodes >= "
                              f"{2 * self.basis_size}, have {self.quad_nodes}")
@@ -75,21 +75,20 @@ class SolverConfig(_CheckedRecord, _SolverConfig):
 
 
 class SSOperatorMatrices(NamedTuple):
-    """Kinetic, potential and overlap matrices in the radial basis (MeV).
+    """Operator matrices in the radial basis at the Bohr scale (MeV).
 
-    kinetic contains the full square-root operators including rest mass;
-    kinetic_binding is the same operator minus m_plus (used by the solver).
+    potential is the Coulomb matrix, overlap the basis overlap, and
+    kinetic_binding the two square-root kinetic operators minus the rest
+    mass m_plus; the full kinetic matrix is kinetic_binding + m_plus*overlap.
     """
 
-    kinetic: np.ndarray
     potential: np.ndarray
     overlap: np.ndarray
     kinetic_binding: np.ndarray
 
 
-def _resolve_scale(cfg: SolverConfig, c: Constants, z: int = 1) -> float:
-    if cfg.scale is not None:
-        return cfg.scale
+def _bohr_length(c: Constants, z: int) -> float:
+    """The Bohr length 1/(mu*Z*alpha) in 1/MeV: the scale of the basis without the search."""
     return 1.0 / (derive(c).mu * (z * c.alpha))
 
 
@@ -97,26 +96,26 @@ def _lgamma(n: np.ndarray) -> np.ndarray:
     return np.array([math.lgamma(v) for v in n.tolist()])
 
 
-def _basis_norms(nb: int, l: int, a: float) -> np.ndarray:
-    # phi_n(r) = N_n (2ar)^l e^{-ar} L_n^{(2l+2)}(2ar), <phi_m phi_n r^2> = delta
+def _basis_norms(nb: int, l: int) -> np.ndarray:
+    # phi_n(r) = N_n (2r)^l e^{-r} L_n^{(2l+2)}(2r), <phi_m phi_n r^2> = delta, at unit scale
     n = np.arange(nb)
-    return np.exp(0.5 * (3.0 * math.log(2.0 * a) + _lgamma(n + 1) - _lgamma(n + 2 * l + 3)))
+    return np.exp(0.5 * (3.0 * math.log(2.0) + _lgamma(n + 1) - _lgamma(n + 2 * l + 3)))
 
 
-def _momentum_basis(p: np.ndarray, nb: int, l: int, a: float, root_weight=1.0) -> np.ndarray:
-    """Momentum-space basis functions times root_weight, shape (nb, len(p)).
+def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight=1.0) -> np.ndarray:
+    """Unit-scale momentum-space basis functions times root_weight, shape (nb, len(p)).
 
     Transform of the Laguerre-(2l+1) layer is
-        2^(2l+1) l! (j+l+1) a^(l+1) p^l (p^2+a^2)^-(l+2) C_j^{(l+1)}(y),
-    y = (p^2-a^2)/(p^2+a^2); the (2l+2) basis is its cumulative sum via
+        2^(2l+1) l! (j+l+1) p^l (p^2+1)^-(l+2) C_j^{(l+1)}(y),
+    y = (p^2-1)/(p^2+1); the (2l+2) basis is its cumulative sum via
     L_n^{(2l+2)} = sum_j L_j^{(2l+1)}.  The layers D_j = (j+l+1) C_j^{(l+1)}
     follow from the Gegenbauer recurrence as
         D_{j+1} = (j+l+2)/(j+1) * (2y D_j - (j+2l+1)/(j+l) * D_{j-1}),
     run with their sums on scratch rows in one pass over the rows; one pass
     over the nodes applies the prefactor and root_weight.
     """
-    y2 = 2.0 * (p * p - a * a) / (p * p + a * a)
-    norms = _basis_norms(nb, l, a)
+    y2 = 2.0 * (p * p - 1.0) / (p * p + 1.0)
+    norms = _basis_norms(nb, l)
     out = np.empty((nb, p.size))
     # D_{j-1}, D_j, the sum of D_i over i <= j, and scratch
     prev, cur, lower = np.full(p.size, l + 1.0), (l + 2.0) * (l + 1.0) * y2, np.empty(p.size)
@@ -131,7 +130,7 @@ def _momentum_basis(p: np.ndarray, nb: int, l: int, a: float, root_weight=1.0) -
         prev *= (j + l + 2.0) / (j + 1.0)
         prev, cur = cur, prev
     prefactor = (math.sqrt(2.0 / math.pi) * 2.0 ** (2 * l + 1) * math.factorial(l)
-                 * a ** (l + 1) * p**l / (p * p + a * a) ** (l + 2))
+                 * p**l / (p * p + 1.0) ** (l + 2))
     out *= prefactor * root_weight
     return out
 
@@ -154,12 +153,12 @@ def _tau(p: np.ndarray, m: float) -> np.ndarray:
     return p * p / (m + np.hypot(p, m))
 
 
-def _coulomb_matrix(nb: int, l: int, a: float, alpha: float, z: int) -> np.ndarray:
-    # <m| -z*alpha/r |n> = -z*alpha N_m N_n (2a)^-2 sum_{i<=min(m,n)} Gamma(2l+2+i)/i!
+def _coulomb_matrix(nb: int, l: int, alpha: float, z: int) -> np.ndarray:
+    # <m| -z*alpha/r |n> = -z*alpha N_m N_n 2^-2 sum_{i<=min(m,n)} Gamma(2l+2+i)/i!, at unit scale
     i = np.arange(nb)
     partial = np.cumsum(np.exp(_lgamma(2 * l + 2 + i) - _lgamma(i + 1)))
-    norms = _basis_norms(nb, l, a)
-    return -z * alpha * np.outer(norms, norms) * partial[np.minimum.outer(i, i)] / (2.0 * a) ** 2
+    norms = _basis_norms(nb, l)
+    return -z * alpha * np.outer(norms, norms) * partial[np.minimum.outer(i, i)] / 4.0
 
 
 class _ScaledCore:
@@ -191,7 +190,7 @@ class _ScaledCore:
         a_lo = a_range[0]
         p, w = _momentum_grid(a_lo, cfg.quad_nodes)
         u = p / a_lo
-        b = _momentum_basis(u, cfg.basis_size, l, 1.0, np.sqrt(w / a_lo * u * u))
+        b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w / a_lo * u * u))
         self.overlap = b @ b.T  # one syrk: exactly symmetric
         defect = float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size))))
         if not defect <= _OVERLAP_DEFECT_MAX:  # NaN fails too
@@ -212,7 +211,7 @@ class _ScaledCore:
         for row in range(cfg.basis_size):
             flat[row * width:(row + 1) * width] = b[row, self.kept]
         self.b = flat[:cfg.basis_size * width].reshape(cfg.basis_size, width)
-        self.v1 = _coulomb_matrix(cfg.basis_size, l, 1.0, c.alpha, z)
+        self.v1 = _coulomb_matrix(cfg.basis_size, l, c.alpha, z)
         self.l_inv = np.linalg.inv(np.linalg.cholesky(self.overlap))
 
     def _tau_sum(self, p: np.ndarray) -> np.ndarray:
@@ -234,16 +233,11 @@ class _ScaledCore:
 
 
 def build_matrices(l: int, cfg: SolverConfig, c: Constants, z: int = 1) -> SSOperatorMatrices:
-    """Operator matrices for orbital momentum l at the configured scale."""
-    a = 1.0 / _resolve_scale(cfg, c, z)
+    """Potential, overlap and binding kinetic matrices for orbital momentum l at the Bohr scale."""
+    a = 1.0 / _bohr_length(c, z)
     core = _ScaledCore(l, cfg, c, z, (a, a))
-    kinetic_binding = core.kinetic(a)
-    return SSOperatorMatrices(
-        kinetic=kinetic_binding + (c.m_e + c.m_p) * core.overlap,
-        potential=a * core.v1,
-        overlap=core.overlap,
-        kinetic_binding=kinetic_binding,
-    )
+    return SSOperatorMatrices(potential=a * core.v1, overlap=core.overlap,
+                              kinetic_binding=core.kinetic(a))
 
 
 def _critical_coupling(l: int) -> float:
@@ -346,7 +340,7 @@ def lowest_levels(
             f"Z*alpha = {za:.6f} > critical coupling {bound:.6f} for l={l}; "
             f"no Salpeter level (Z={z})"
         )
-    base = _resolve_scale(cfg, c, z)
+    base = _bohr_length(c, z)
     if not cfg.scale_search:
         a = 1.0 / base
         values = _ScaledCore(l, cfg, c, z, (a, a)).spectrum(a)[:count]
@@ -403,7 +397,10 @@ def convergence_report(
     c: Constants,
     z: int = 1,
 ) -> list[dict]:
-    """Ladder of (basis_size, value, delta) rows with a monotonicity flag."""
+    """Ladder of (basis_size, value, delta) rows at the Bohr scale with a monotonicity flag.
+
+    Every row is flagged when any step is larger than the one before it.
+    """
     sizes = sorted(basis_sizes)
     if len(sizes) < 3:
         raise ValueError("need at least 3 basis sizes")
@@ -416,7 +413,7 @@ def convergence_report(
         rows.append({"basis_size": nb, "value_ev": value, "delta_ev": delta})
         previous = value
     deltas = [abs(r["delta_ev"]) for r in rows if r["delta_ev"] is not None]
-    flagged = any(b > a for a, b in zip(deltas[1:], deltas[2:]))
+    flagged = any(b > a for a, b in zip(deltas, deltas[1:]))
     for r in rows:
         r["flagged"] = flagged
     return rows

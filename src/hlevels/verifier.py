@@ -142,8 +142,8 @@ def _bisect(f, a: float, b: float, fa: float) -> float:
             return xm
 
 
-def phase_integral(p: RadialProblem, tps: TurningPoints = None) -> float:
-    """Action integral of sqrt(radicand) between the turning points.
+def phase_integral(p: RadialProblem, tps: TurningPoints) -> float:
+    """Action integral of sqrt(radicand) between the turning points tps.
 
     The substitution r = r1 + (r2-r1)*sin^2(theta) removes the
     inverse-square-root endpoint behavior; Gauss-Legendre node counts are
@@ -151,8 +151,6 @@ def phase_integral(p: RadialProblem, tps: TurningPoints = None) -> float:
     value that is not finite, or no agreement by _PHASE_MAX_NODES nodes,
     raises QuadratureFailure.
     """
-    if tps is None:
-        tps = find_turning_points(p)
     d = tps.r2 - tps.r1
     previous = math.nan  # agrees with no value
     n = 32
@@ -179,20 +177,16 @@ def analytic_i_infinity(
     s: float,
     d: DerivedMasses,
     c: Constants,
-    gap_low: float = None,
-    gap_high: float = None,
+    gap_low: float,
+    gap_high: float,
     z: int = 1,
 ) -> float:
     """Residue contribution pi*Z*alpha*m_plus*sqrt((s-m_minus^2)/(s*(m_plus^2-s))).
 
-    gap_low/gap_high may supply s - m_minus^2 and m_plus^2 - s in closed
-    form when s is a quadratic root (the direct differences would be
-    limited by the rounding of s itself).
+    gap_low and gap_high are s - m_minus^2 and m_plus^2 - s, in closed
+    form for a quadratic root (see qc_root_gaps): the direct differences
+    would be limited by the rounding of s itself.
     """
-    if gap_low is None:
-        gap_low = s - d.m_minus**2
-    if gap_high is None:
-        gap_high = d.m_plus**2 - s
     if gap_low <= 0.0 or gap_high <= 0.0:
         raise ValueError(f"s = {s} outside the open interval (m_minus^2, m_plus^2)")
     return math.pi * (z * c.alpha) * d.m_plus * math.sqrt(gap_low / (s * gap_high))

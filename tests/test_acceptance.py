@@ -182,10 +182,10 @@ def test_criterion_4_m_im_column():
 
 def test_criterion_5_epsilon_columns(ss_column):
     values, _ = ss_column
-    table1 = generate_table1(models=("kg", "qc", "nist"))
+    table1 = generate_table1(Environment())
     for row, st in zip(table1, TABLE_STATES):
         row["ss"] = values[st]
-    table2 = generate_table2(table1=table1)
+    table2 = generate_table2(Environment(), table1)
     devs = {"kg": {}, "qc": {}, "ss": {}}
     set_aside, wrong_flags = [], []
     for i, (row, st) in enumerate(zip(table2, TABLE_STATES)):

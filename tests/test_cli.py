@@ -20,6 +20,7 @@ from hlevels import (
     salpeter_levels,
 )
 from hlevels.cli import BLAS_THREAD_VARIABLES, main, parse_state_label
+from hlevels.salpeter import _SCALE_BRACKET, _bohr_length
 
 
 def run(capsys, *argv):
@@ -261,12 +262,18 @@ def test_cli_reports_the_grid_a_basis_needs(capsys):
     assert err == "error: basis_size 3000 needs quad_nodes >= 6000, have 4096\n"
 
 
-def test_salpeter_refuses_a_level_past_the_widest_bracket():
-    # a search scale 3700 Bohr lengths off puts 1S past the bracket's 1024-fold widening;
-    # the search that did not widen printed 1S = -4.578 eV
+def test_salpeter_refuses_a_level_past_the_widest_bracket(capsys, monkeypatch):
+    # a first bracket 3700-fold up, in units of 1e6 1/MeV instead of the Bohr length, puts
+    # 1S past its 1024-fold widening; the search that did not widen printed 1S = -4.578 eV
+    c = default_constants()
+    factor = 1e6 / _bohr_length(c, 1)
+    lo, hi = _SCALE_BRACKET
+    monkeypatch.setattr("hlevels.salpeter._SCALE_BRACKET", (lo * factor, hi * factor))
     message = "1S: the scale search still ends on its lower edge, 48.8291 1/MeV, after widening"
     with pytest.raises(ScaleSearchFailure, match=f"^{message} it 1024-fold$"):
-        salpeter_levels([QuantumState(0, 0)], SolverConfig(scale=1e6), default_constants())
+        salpeter_levels([QuantumState(0, 0)], SolverConfig(), c)
+    code, out, err = run(capsys, "salpeter", "--states", "1S")
+    assert (code, out, err) == (1, "", f"error: {message} it 1024-fold\n")
 
 
 @pytest.mark.parametrize("command", ["compare", "salpeter"])

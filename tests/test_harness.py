@@ -122,7 +122,7 @@ def test_relative_error_scale_invariant(t, ref, scale):
 
 
 def test_generate_table1_closed_form_columns(C):
-    rows = generate_table1(models=("kg", "qc", "nist"))
+    rows = generate_table1(Environment())
     assert [r["state"] for r in rows] == [s.label for s in TABLE_STATES]
     by_state = {r["state"]: r for r in rows}
     # QC column constant along fixed-N anti-diagonals
@@ -131,10 +131,6 @@ def test_generate_table1_closed_form_columns(C):
     for i, r in enumerate(rows):
         assert r["kg"] == pytest.approx(PUBLISHED_T["kg"][i], abs=5e-5)
         assert r["qc"] == pytest.approx(PUBLISHED_T["qc"][i], abs=5e-5)
-
-
-def test_generate_table1_empty_states():
-    assert generate_table1(models=("kg",), states=()) == []
 
 
 def _raising_lowest_levels(exc):
@@ -148,7 +144,7 @@ def test_generate_table1_propagates_salpeter_bugs(monkeypatch):
     monkeypatch.setattr("hlevels.salpeter.lowest_levels",
                         _raising_lowest_levels(TypeError("solver bug")))
     with pytest.raises(TypeError, match="solver bug"):
-        generate_table1(models=("kg", "ss"))
+        generate_table1(Environment())
 
 
 def test_generate_table1_propagates_level_bugs(monkeypatch):
@@ -157,13 +153,13 @@ def test_generate_table1_propagates_level_bugs(monkeypatch):
 
     monkeypatch.setattr("hlevels.harness.kg_level", broken_kg_level)
     with pytest.raises(TypeError, match="level bug"):
-        generate_table1(models=("kg", "qc"))
+        generate_table1(Environment())
 
 
 def test_generate_table1_salpeter_failure_leaves_empty_cells(monkeypatch):
     monkeypatch.setattr("hlevels.salpeter.lowest_levels",
                         _raising_lowest_levels(IllConditionedBasis("overlap")))
-    rows = generate_table1(models=("kg", "ss"))
+    rows = generate_table1(Environment())
     assert [r["ss"] for r in rows] == [None] * len(TABLE_STATES)
     assert all(r["kg"] is not None for r in rows)
 
@@ -176,13 +172,13 @@ def test_generate_table1_salpeter_failure_empties_only_its_l(monkeypatch):
                 for k in range(count)]
 
     monkeypatch.setattr("hlevels.salpeter.lowest_levels", s_wave_fails)
-    rows = generate_table1(models=("ss",))
+    rows = generate_table1(Environment())
     assert {r["state"]: r["ss"] for r in rows} == {
         st_.label: None if st_.l == 0 else -1.0 - st_.l - st_.k for st_ in TABLE_STATES}
 
 
 def test_generate_table2_from_published_energies():
-    rows = generate_table2(table1=published_table1())
+    rows = generate_table2(Environment(), published_table1())
     by_state = {r["state"]: r for r in rows}
     assert by_state["1S"]["eps_qc"] == pytest.approx(2.41e-3, rel=0.02)
     assert by_state["1S"]["flags"]["qc"] == "MATCH"
@@ -196,7 +192,7 @@ def test_generate_table2_from_published_energies():
 
 
 def test_generate_table2_never_copies_published_numbers():
-    rows = generate_table2(table1=published_table1())
+    rows = generate_table2(Environment(), published_table1())
     ref = builtin_reference()
     for i, r in enumerate(rows):
         for model in ("kg", "ss", "qc"):
@@ -207,7 +203,7 @@ def test_generate_table2_never_copies_published_numbers():
 def test_generate_table2_unavailable_cells():
     table1 = published_table1()
     table1[0]["ss"] = None
-    rows = generate_table2(table1=table1)
+    rows = generate_table2(Environment(), table1)
     assert rows[0]["eps_ss"] is None
     assert rows[0]["flags"]["ss"] == "UNAVAILABLE"
 
@@ -223,13 +219,13 @@ def test_table1_csv_round_trip():
 
 def test_serialization_formats():
     t1 = published_table1()
-    t2 = generate_table2(table1=t1)
+    t2 = generate_table2(Environment(), t1)
     text1, text2 = table1_to_text(t1), table2_to_text(t2)
     assert "1S" in text1 and "-13.60659871" in text1
     assert "MISMATCH" in text2
     csv2 = table2_to_csv(t2)
     assert csv2.splitlines()[0].startswith("state,eps_kg")
-    doc = json.loads(tables_to_json(t1, t2))
+    doc = json.loads(tables_to_json(t1, t2, Environment()))
     assert set(doc) == {"table", "models", "constants", "mismatches"}
     assert any(m["column"] == "qc" for m in doc["mismatches"])
 

@@ -36,11 +36,11 @@ _CONSTANTS_REPR = ("Constants(alpha=0.0072973525664, m_e=0.5109989461, m_p=938.2
 _DERIVED_REPR = ("DerivedMasses(m_plus=938.7830802461, m_minus=937.7610823539, "
                  "m_a=469.39154012305, mu=0.5107207988598017)")
 _PARAMS_REPR = "PotentialParams(alpha=0.0072973525664, lam=840.0, z=1)"
-_SOLVER_REPR = "SolverConfig(basis_size=64, scale=None, quad_nodes=4096, scale_search=True)"
+_SOLVER_REPR = "SolverConfig(basis_size=64, quad_nodes=4096, scale_search=True)"
 
 
 def _matrices(value=1.0):
-    return SSOperatorMatrices(*(np.full((1, 1), value) for _ in range(4)))
+    return SSOperatorMatrices(*(np.full((1, 1), value) for _ in range(3)))
 
 
 # name: (make, make a record of the same type with another field value, repr of make())
@@ -67,8 +67,8 @@ RECORDS = {
                     "reference=None, z=1)"),
     "SolverConfig": (SolverConfig, lambda: SolverConfig(basis_size=32), _SOLVER_REPR),
     "SSOperatorMatrices": (_matrices, lambda: _matrices(2.0),
-                           "SSOperatorMatrices(kinetic=array([[1.]]), potential=array([[1.]]), "
-                           "overlap=array([[1.]]), kinetic_binding=array([[1.]]))"),
+                           "SSOperatorMatrices(potential=array([[1.]]), overlap=array([[1.]]), "
+                           "kinetic_binding=array([[1.]]))"),
     "RadialProblem": (lambda: RadialProblem(s=2.0e6, l=1, params=_P, derived=_D),
                       lambda: RadialProblem(s=2.0e6, l=0, params=_P, derived=_D),
                       f"RadialProblem(s=2000000.0, l=1, params={_PARAMS_REPR}, "
@@ -154,7 +154,7 @@ def test_a_record_is_the_tuple_of_its_fields():
     (ReferenceDataset, {"entries": {QuantumState(1, 1): 0.0}},
      "reference energy for 2P must be negative"),
     (SolverConfig, {"basis_size": 3}, "basis_size must be >= 4"),
-    (SolverConfig, {"scale": 0.0}, "scale must be positive"),
+    (SolverConfig, {"basis_size": 2049}, "basis_size 2049 needs quad_nodes >= 4098, have 4096"),
     (SolverConfig, {"basis_size": 64, "quad_nodes": 100},
      "basis_size 64 needs quad_nodes >= 128, have 100"),
     (TurningPoints, {"r1": 0.0, "r2": 1.0}, "need 0 < r1 < r2, got 0.0, 1.0"),

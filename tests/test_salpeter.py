@@ -32,11 +32,11 @@ from hlevels.salpeter import (
     _SCALE_XATOL,
     _ScaledCore,
     _basis_norms,
+    _bohr_length,
     _coulomb_matrix,
     _golden_section_min,
     _momentum_basis,
     _momentum_grid,
-    _resolve_scale,
     _tau,
     _widened_min,
 )
@@ -66,8 +66,6 @@ def small_cfg(**kw):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(basis_size=2)
-    with pytest.raises(ValueError):
-        SolverConfig(scale=-1.0)
     with pytest.raises(ValueError, match=r"basis_size 64 needs quad_nodes >= 128, have 100"):
         SolverConfig(basis_size=64, quad_nodes=100)
     # the default grid carries basis sizes up to half its nodes, no further
@@ -78,7 +76,7 @@ def test_config_validation():
 
 def test_matrices_symmetric_and_orthonormal(C):
     m = build_matrices(0, small_cfg(), C)
-    for a in (m.kinetic, m.potential, m.overlap, m.kinetic_binding):
+    for a in (m.potential, m.overlap, m.kinetic_binding):
         defect = np.max(np.abs(a - a.T)) / np.max(np.abs(a))
         assert defect <= 1e-12
     # the basis is orthonormal, so the quadrature overlap is Parseval's check
@@ -86,29 +84,28 @@ def test_matrices_symmetric_and_orthonormal(C):
     assert np.all(np.linalg.eigvalsh(m.overlap) > 0.0)
 
 
-def test_kinetic_includes_rest_mass(C, D):
-    m = build_matrices(0, small_cfg(), C)
-    assert np.max(np.abs(m.kinetic - m.kinetic_binding - D.m_plus * m.overlap)) < 1e-9
-
-
 def test_free_threshold_with_tiny_coupling(D):
     c = Constants(alpha=1e-10)
-    m = build_matrices(0, small_cfg(scale=1.0), c)
+    m = build_matrices(0, small_cfg(), c)
     # binding operator is positive: all eigenvalues above the threshold
     vals = eigh(m.kinetic_binding + m.potential, m.overlap, eigvals_only=True)
     assert vals[0] > -1e-8
-    full = eigh(m.kinetic, m.overlap, eigvals_only=True)
-    assert full[0] >= D.m_plus * (1.0 - 1e-10)
+    # the full kinetic operator, kinetic_binding + m_plus S, lies above the rest mass
+    kinetic = eigh(m.kinetic_binding, m.overlap, eigvals_only=True)
+    assert kinetic[0] >= -D.m_plus * 1e-10
 
 
 def test_kinetic_is_the_sum_of_the_single_mass_operators(C):
     cfg = small_cfg()
     m = build_matrices(0, cfg, C)
-    # the single square-root operators built from the exposed internals
-    a = 1.0 / _resolve_scale(cfg, C)
+    # the single square-root operators built from the exposed internals, with the
+    # basis at scale a as a^(-3/2) times the unit-scale basis at u = p/a
+    a = 1.0 / _bohr_length(C, 1)
     p, w = _momentum_grid(a, cfg.quad_nodes)
-    phi = _momentum_basis(p, cfg.basis_size, 0, a)
-    electron, proton = ((phi * (w * p * p * _tau(p, mass))) @ phi.T for mass in (C.m_e, C.m_p))
+    u = p / a
+    phi = _momentum_basis(u, cfg.basis_size, 0)
+    electron, proton = ((phi * (w / a * u * u * _tau(p, mass))) @ phi.T
+                        for mass in (C.m_e, C.m_p))
     assert np.allclose(m.kinetic_binding, electron + proton, rtol=1e-12, atol=1e-12)
 
 
@@ -153,24 +150,23 @@ def test_count_validation(C):
         lowest_levels(-1, 1, small_cfg(scale_search=True), C)
 
 
-def test_nonphysical_scale_is_flagged(C):
-    # a scale 1e6 times off either breaks conditioning or stalls convergence
-    cfg = small_cfg(scale=1e6 / (derive(C).mu * C.alpha))
-    try:
-        rows = convergence_report(0, 0, (8, 16, 32, 64), cfg, C)
-    except IllConditionedBasis:
-        return
-    assert rows[0]["flagged"]
+def test_convergence_report_flags_a_three_size_ladder(C):
+    # the 1S steps -1.10e-6 and then -1.13e-6 eV: the second step is the larger
+    rows = convergence_report(0, 0, (32, 64, 128), SolverConfig(), C)
+    assert -1.11e-6 < rows[1]["delta_ev"] < -1.09e-6
+    assert -1.14e-6 < rows[2]["delta_ev"] < -1.12e-6
+    assert all(r["flagged"] for r in rows)
 
 
 def test_convergence_report_ladder(C):
-    # slightly detuned scale gives a clean geometric approach to the limit
-    cfg = small_cfg(scale=3.0 / (derive(C).mu * C.alpha))
-    rows = convergence_report(0, 0, (8, 16, 32, 64), cfg, C)
-    assert [r["basis_size"] for r in rows] == [8, 16, 32, 64]
-    assert rows[0]["delta_ev"] is None
-    assert abs(rows[-1]["delta_ev"]) <= 1e-4
-    assert not rows[0]["flagged"]
+    # steps in eV: l = 0 grows, 5.3e-7, 8.2e-7, 1.1e-6; l = 1 falls, 6.0e-5, 4.7e-11,
+    # 1.1e-11; l = 2 falls, 2.1e-2, 1.2e-5, 3.7e-13
+    for l, flagged in ((0, True), (1, False), (2, False)):
+        rows = convergence_report(l, 0, (8, 16, 32, 64), SolverConfig(), C)
+        assert [r["basis_size"] for r in rows] == [8, 16, 32, 64]
+        assert rows[0]["delta_ev"] is None
+        assert abs(rows[-1]["delta_ev"]) <= 2e-6
+        assert all(r["flagged"] is flagged for r in rows), l
     with pytest.raises(ValueError):
         convergence_report(0, 0, (8, 16), small_cfg(), C)
 
@@ -192,20 +188,21 @@ def test_salpeter_levels_fills_lower_levels(C):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=0, max_value=4), st.floats(min_value=0.05, max_value=4.0))
-def test_core_spectrum_matches_generalized_eigh(C, l, bohr_multiple):
-    cfg = small_cfg(scale=bohr_multiple / (derive(C).mu * C.alpha))
-    m = build_matrices(l, cfg, C)
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=87))
+def test_core_spectrum_matches_generalized_eigh(C, l, z):
+    # the Bohr scale follows Z, so the sweep over Z sweeps the scale
+    cfg = small_cfg()
+    m = build_matrices(l, cfg, C, z)
     reference = eigh(m.kinetic_binding + m.potential, m.overlap, eigvals_only=True)
-    a = 1.0 / cfg.scale
-    got = _ScaledCore(l, cfg, C, 1, (a, a)).spectrum(a)
+    a = 1.0 / _bohr_length(C, z)
+    got = _ScaledCore(l, cfg, C, z, (a, a)).spectrum(a)
     # eigenvalues near zero are held to 1e-10 of the Rydberg energy instead
-    rydberg = derive(C).mu * C.alpha**2 / 2.0
+    rydberg = derive(C).mu * (z * C.alpha) ** 2 / 2.0
     np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-10 * rydberg)
 
 
 def test_core_refuses_a_scale_outside_its_screened_range(C):
-    a = 1.0 / _resolve_scale(SolverConfig(), C)
+    a = 1.0 / _bohr_length(C, 1)
     core = _ScaledCore(0, small_cfg(), C, 1, (a, 2.0 * a))
     for inside in (a, 1.5 * a, 2.0 * a):
         assert np.all(np.isfinite(core.spectrum(inside)))
@@ -224,7 +221,7 @@ def _tau_sum(p, masses):
        st.booleans())
 def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, searched):
     cfg = SolverConfig(basis_size=nb)
-    base = _resolve_scale(cfg, C, z)
+    base = _bohr_length(C, z)
     a = 1.0 / (base * bohr_multiple)
     lo, hi = _SCALE_BRACKET
     count = min(4, nb // 2)
@@ -236,12 +233,12 @@ def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, 
     p, w = _momentum_grid(a_range[0], cfg.quad_nodes)
     u = p / a_range[0]
     weight = w / a_range[0] * u * u
-    phi = _momentum_basis(u, nb, l, 1.0)
+    phi = _momentum_basis(u, nb, l)
     masses = (C.m_e, C.m_p)
     kinetic = (phi * (weight * _tau_sum(a * u, masses))) @ phi.T
     overlap = (phi * weight) @ phi.T
     l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (overlap + overlap.T)))
-    h = kinetic + a * _coulomb_matrix(nb, l, 1.0, C.alpha, z)
+    h = kinetic + a * _coulomb_matrix(nb, l, C.alpha, z)
     full = np.linalg.eigvalsh(l_inv @ h @ l_inv.T)
     rydberg = D.mu * C.alpha**2 / 2.0
     got = core.spectrum(a)
@@ -263,7 +260,7 @@ def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, 
 def test_core_build_holds_one_basis_array(C):
     # a build holds one basis-size by node-count array, B = phi sqrt(w), and no second one
     cfg = SolverConfig(basis_size=128, scale_search=False)
-    a = 1.0 / _resolve_scale(cfg, C)
+    a = 1.0 / _bohr_length(C, 1)
     nodes = _momentum_grid(a, cfg.quad_nodes)[0].size
     tracemalloc.start()
     try:
@@ -286,9 +283,9 @@ def test_scale_search_is_no_worse_than_the_bohr_scale(C, D, z):
     # the optimum, as the S wave's lower end does from Z = 73 on; the sweep below
     # covers Z up to 87
     bohr = 1.0 / (D.mu * z * C.alpha)
-    assert _resolve_scale(SolverConfig(), C, z) == pytest.approx(bohr, rel=1e-15)
+    assert _bohr_length(C, z) == pytest.approx(bohr, rel=1e-15)
     searched = lowest_levels(0, 1, SolverConfig(), C, z=z)[0].value
-    fixed = lowest_levels(0, 1, SolverConfig(scale=bohr, scale_search=False), C, z=z)[0].value
+    fixed = lowest_levels(0, 1, SolverConfig(scale_search=False), C, z=z)[0].value
     assert searched <= fixed
 
 
@@ -334,7 +331,7 @@ def test_scale_search_agrees_with_scipy_bounded(C, l):
     # scipy's bounded Brent search on the same objective is the oracle; the two
     # stop at different points, so they agree to the search noise, not to the bit
     cfg = SolverConfig()
-    base = _resolve_scale(cfg, C)
+    base = _bohr_length(C, 1)
     lo, hi = _SCALE_BRACKET
     core = _ScaledCore(l, cfg, C, 1, (1.0 / (base * hi * (l + 1)), 1.0 / (base * lo)))
     calls = []
@@ -417,18 +414,18 @@ def test_golden_section_value_stop():
         assert len(calls) == _golden_section_evaluations(lo, hi)
 
 
-def _allocating_momentum_basis(p, nb, l, a, root_weight):
+def _allocating_momentum_basis(p, nb, l, root_weight):
     # the whole-row recurrence of D_j = (j+l+1) C_j and the np.cumsum that _momentum_basis
     # runs in place, on scratch rows
-    y2 = 2.0 * (p * p - a * a) / (p * p + a * a)
+    y2 = 2.0 * (p * p - 1.0) / (p * p + 1.0)
     d = np.empty((nb, p.size))
     d[0] = l + 1.0
     d[1] = (l + 2.0) * (l + 1.0) * y2
     for j in range(1, nb - 1):
         d[j + 1] = (y2 * d[j] - (j + 2.0 * l + 1.0) / (j + l) * d[j - 1]) * ((j + l + 2.0) / (j + 1.0))
     prefactor = (math.sqrt(2.0 / math.pi) * 2.0 ** (2 * l + 1) * math.factorial(l)
-                 * a ** (l + 1) * p**l / (p * p + a * a) ** (l + 2))
-    return np.cumsum(d, axis=0) * _basis_norms(nb, l, a)[:, None] * (prefactor * root_weight)
+                 * p**l / (p * p + 1.0) ** (l + 2))
+    return np.cumsum(d, axis=0) * _basis_norms(nb, l)[:, None] * (prefactor * root_weight)
 
 
 @settings(deadline=None, max_examples=30)
@@ -448,13 +445,13 @@ def test_momentum_basis_matches_scipy_gegenbauer(l, nb):
     expected = np.cumsum(layers, axis=0) * norms[:, None]
     # the partial sums cancel; hold each to the sum of the magnitudes of its layers
     scale = np.cumsum(np.abs(layers), axis=0) * norms[:, None]
-    got = _momentum_basis(u, nb, l, 1.0)
+    got = _momentum_basis(u, nb, l)
     assert got.shape == (nb, u.size)
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
     # the in-place recurrence and row sums keep the float order of the allocating ones
     root_weight = np.sqrt(u)
-    np.testing.assert_array_equal(_momentum_basis(u, nb, l, 1.0, root_weight),
-                                  _allocating_momentum_basis(u, nb, l, 1.0, root_weight))
+    np.testing.assert_array_equal(_momentum_basis(u, nb, l, root_weight),
+                                  _allocating_momentum_basis(u, nb, l, root_weight))
 
 
 def _recording_searches(monkeypatch):
@@ -476,7 +473,7 @@ def _recording_searches(monkeypatch):
        st.integers(min_value=0, max_value=2))
 @example(73, 0, 0)
 @example(87, 0, 2)
-def test_searched_minimizer_sits_inside_its_final_bracket(C, D, z, l, k):
+def test_searched_minimizer_sits_inside_its_final_bracket(C, z, l, k):
     # the unwidened search ended 1S on the lower end of its bracket from Z = 73 on
     with pytest.MonkeyPatch.context() as mp:
         searches = _recording_searches(mp)
@@ -486,8 +483,7 @@ def test_searched_minimizer_sits_inside_its_final_bracket(C, D, z, l, k):
         assert lo + 2.0 * _SCALE_XATOL <= x <= hi - 2.0 * _SCALE_XATOL
     # the Bohr scale is inside every bracket; where it is the optimum (1D) the value
     # stop promises the least value to 2 * _SCALE_RTOL, as for the analytic minima
-    bohr = 1.0 / (D.mu * z * C.alpha)
-    fixed = lowest_levels(l, k + 1, SolverConfig(scale=bohr, scale_search=False), C, z=z)
+    fixed = lowest_levels(l, k + 1, SolverConfig(scale_search=False), C, z=z)
     for level, at_bohr in zip(searched, fixed):
         assert level.value <= at_bohr.value + 2.0 * _SCALE_RTOL * abs(at_bohr.value), level.state
 
@@ -504,7 +500,7 @@ def test_table_searches_do_not_widen(C, monkeypatch):
     values = salpeter_levels(TABLE_STATES, SolverConfig(), C)
     assert len(searches) == len(values)
     lo, hi = _SCALE_BRACKET
-    base = _resolve_scale(SolverConfig(), C)
+    base = _bohr_length(C, 1)
     for (lo_x, x, hi_x), state in zip(searches.values(), values):
         assert lo_x == math.log(base * lo)
         assert hi_x == math.log(base * hi * (state.k + state.l + 1))
