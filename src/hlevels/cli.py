@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import NoReturn
@@ -102,8 +103,21 @@ def _solver_from(args):
     return SolverConfig() if args.basis_size is None else SolverConfig(basis_size=args.basis_size)
 
 
+def _refuse_non_finite(rows):
+    """Raise before any output when a row holds a number that is not finite.
+
+    The formulas overflow only at extreme inputs, such as masses near 1e150 MeV.
+    """
+    for r in rows:
+        for name, value in r.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ArithmeticError(f"{name} of {next(iter(r.values()))} is {value}: "
+                                      f"the inputs exceed the range of double precision")
+
+
 def _emit_rows(rows, header, fmt, float_fmt="{:.8f}"):
     """Write dict rows in text/csv/json with deterministic formatting."""
+    _refuse_non_finite(rows)
     if fmt == "json":
         sys.stdout.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
         return
@@ -162,6 +176,7 @@ def _cmd_compare(args) -> int:
     env = Environment(constants=c, solver=_solver_from(args), reference=reference, z=args.z)
     table1 = generate_table1(env=env)
     table2 = generate_table2(env=env, table1=table1)
+    _refuse_non_finite(table1 + table2)
     if args.format == "json":
         sys.stdout.write(tables_to_json(table1, table2, env))
     elif args.format == "csv":
@@ -291,7 +306,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (HlevelsError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (HlevelsError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -57,6 +57,10 @@ class Constants(_CheckedRecord, _Constants):
         for name, v in zip(self._fields, self):
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
+        for name, v in derive(self)._asdict().items():
+            if not math.isfinite(v):
+                raise ValueError(f"derived mass {name} of m_e = {self.m_e}, m_p = {self.m_p} "
+                                 f"is not finite: {v}")
         return self
 
 

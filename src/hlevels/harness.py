@@ -183,12 +183,11 @@ def generate_table2(env: Environment, table1: list[dict]) -> list[dict]:
     published number at 2% relative tolerance (UNAVAILABLE when the
     underlying energy or m_im could not be computed).
     """
+    if [t1["state"] for t1 in table1] != [st.label for st in TABLE_STATES]:
+        raise ValueError("table 1 rows must cover the standard ten states in order")
     d = derive(env.constants)
     rows = []
-    for i, t1 in enumerate(table1):
-        st = TABLE_STATES[i]
-        if t1["state"] != st.label:
-            raise ValueError("table 1 rows must cover the standard ten states in order")
+    for i, (st, t1) in enumerate(zip(TABLE_STATES, table1)):
         t_ref = t1.get("nist")
         row = {"state": st.label, "flags": {}}
         for model in ("kg", "ss", "qc"):

@@ -42,19 +42,18 @@ def default_params(c: Constants) -> PotentialParams:
     return PotentialParams(alpha=c.alpha)
 
 
-def running_alpha_r(r: float, p: PotentialParams) -> float:
+def running_alpha_r(r, p: PotentialParams):
     """Configuration-space coupling alpha*(lam^2 r^2/(1+lam^2 r^2))^2.
 
     In momentum space it runs as alpha*(lam^2/(q^2+lam^2))^2, alpha times the dipole form factor.
-    Vanishes like r^4 at the origin and saturates at alpha for large r.
+    Vanishes like r^4 at the origin and saturates at alpha for large r.  r is a float or an array.
     """
     x = (p.lam * r) ** 2
     u = x / (1.0 + x)
     return p.alpha * u * u
 
 
-def potential_r(r: float, p: PotentialParams) -> float:
-    """Potential -z*alpha_running(r)/r in MeV; the r=0 limit is 0."""
-    if r == 0.0:
-        return 0.0
-    return -p.z * running_alpha_r(r, p) / r
+def potential_r(r, p: PotentialParams):
+    """Potential -z*alpha_running(r)/r in MeV, of a float or an array r; V(0) = 0.0."""
+    # r == 0 makes the divisor 1 where the coupling is 0, and 0.0 - keeps that zero positive
+    return 0.0 - p.z * running_alpha_r(r, p) / (r + (r == 0.0))

@@ -79,11 +79,11 @@ class RadialProblem(_CheckedRecord, _RadialProblem):
             changes.setdefault("s_gap_high", None)
         return super()._replace(**changes)
 
-    def radicand(self, r: float) -> float:
+    def radicand(self, r):
         return self.p_squared(r) - (self.m_l / r) ** 2
 
-    def p_squared(self, r: float) -> float:
-        """Squared relative momentum K(s)*[s - M(r)^2]."""
+    def p_squared(self, r):
+        """Squared relative momentum K(s)*[s - M(r)^2], of a float or a numpy array r."""
         # s - M(r)^2 = (s - m_plus^2) - W*(2 m_plus + W)
         w = potential_r(r, self.params)
         return self.k_factor * (-self.s_gap_high - w * (2.0 * self.derived.m_plus + w))
@@ -109,18 +109,16 @@ def find_turning_points(p: RadialProblem) -> TurningPoints:
     if p.s_gap_high <= 0.0:
         raise NoBoundRegion(f"s = {p.s} at or above the two-particle threshold")
     rs = np.logspace(_SCAN_LOG10_LO, _SCAN_LOG10_HI, _SCAN_POINTS)
-    q = np.array([p.radicand(r) for r in rs])
+    with np.errstate(over="raise", invalid="raise"):  # an overflow raises, not a NaN bracket
+        q = p.radicand(rs)
     imax = int(np.argmax(q))
     if q[imax] <= 0.0:
         raise NoBoundRegion("radicand is nowhere positive on the scan grid")
-    lo = imax
-    while lo > 0 and q[lo] > 0.0:
-        lo -= 1
-    hi = imax
-    while hi < len(rs) - 1 and q[hi] > 0.0:
-        hi += 1
-    if q[lo] > 0.0 or q[hi] > 0.0:
+    # the grid points just outside the positive run that holds the maximum
+    below, above = np.flatnonzero(q[:imax] <= 0.0), np.flatnonzero(q[imax:] <= 0.0)
+    if below.size == 0 or above.size == 0:
         raise NoBoundRegion("bound region extends beyond the scan grid")
+    lo, hi = int(below[-1]), imax + int(above[0])
     r1 = _bisect(p.radicand, float(rs[lo]), float(rs[lo + 1]), q[lo])
     r2 = _bisect(p.radicand, float(rs[hi - 1]), float(rs[hi]), q[hi - 1])
     return TurningPoints(r1=r1, r2=r2)
@@ -158,7 +156,7 @@ def phase_integral(p: RadialProblem, tps: TurningPoints) -> float:
         x, w = gauss_legendre(n)
         theta = (math.pi / 4.0) * (x + 1.0)
         r = tps.r1 + d * np.sin(theta) ** 2
-        q = np.array([max(p.radicand(ri), 0.0) for ri in r])
+        q = np.maximum(p.radicand(r), 0.0)
         value = (math.pi / 4.0) * float(np.sum(w * np.sqrt(q) * d * np.sin(2.0 * theta)))
         if not math.isfinite(value):
             raise QuadratureFailure(f"phase integral is {value} at {n} nodes")

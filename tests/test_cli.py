@@ -1,12 +1,13 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 import hlevels
@@ -185,6 +186,71 @@ def test_verify_refuses_a_lambda_that_is_not_finite(capsys, value):
     code, out, err = run(capsys, "verify", "--lambda-mev", value)
     assert code == 1 and out == ""
     assert err == f"error: alpha and lambda must be finite, got 0.0072973525664, {value}\n"
+
+
+def test_verify_at_lambda_1e145_is_the_point_coulomb_limit(capsys):
+    # (lambda r)^2 stays finite on the scan grid up to 1.34e145 MeV: the point-Coulomb bytes
+    assert main(["verify", "--lambda-mev", "8.4e6", "--format", "json"]) == 0
+    point_coulomb = capsys.readouterr().out
+    assert main(["verify", "--lambda-mev", "1e145", "--format", "json"]) == 0
+    assert capsys.readouterr().out == point_coulomb
+
+
+# finite inputs whose arithmetic leaves the range of doubles: one error line, no warning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("verify", "--lambda-mev", "1e146"),  # raised OverflowError
+    ("verify", "--lambda-mev", "1e200"),
+    ("salpeter", "--states", "1S", "--basis-size", "8", "--me-mev", "1e-300"),  # OverflowError
+    ("compare", "--basis-size", "8", "--me-mev", "1e-300"),
+    ("compare", "--basis-size", "8", "--me-mev", "1e20", "--mp-mev", "1.5e100"),  # printed qc inf
+    ("spectrum", "--states", "1S", "--me-mev", "1e200", "--mp-mev", "2e200"),  # OverflowError
+    ("spectrum", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed nan
+    ("spectrum", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308",
+     "--model", "scalar", "--reduced-mass"),  # printed nan
+    ("spectrum", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308",
+     "--model", "schrodinger", "--reduced-mass"),  # printed nan
+    ("spectrum", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308",
+     "--model", "kg"),  # printed -inf
+    ("spectrum", "--states", "1S", "--me-mev", "1e150", "--mp-mev", "1e151"),  # printed inf
+    ("widths", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed nan
+    ("widths", "--states", "1S", "--me-mev", "1e-300", "--mp-mev", "1e-160"),  # printed nan
+    ("constants", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed inf and nan
+])
+def test_overflow_is_an_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_MASS_MEV = st.floats(min_value=1e-300, max_value=1e308, allow_subnormal=False)
+_MASS_COMMANDS = (
+    *[("spectrum", "--model", model)
+      for model in ("schrodinger", "sommerfeld", "kg", "scalar", "qc")],
+    ("spectrum", "--model", "schrodinger", "--reduced-mass"),
+    ("spectrum", "--model", "scalar", "--reduced-mass"),
+    ("widths",),
+    ("constants",),
+)
+
+
+# run() drains capsys on every call, so no output carries over between examples
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_MASS_MEV, _MASS_MEV)
+@example(0.5109989461, 1e308)
+def test_every_printed_number_is_finite_over_the_masses(capsys, m_1, m_2):
+    assume(m_1 != m_2)
+    m_e, m_p = sorted((m_1, m_2))
+    for command in _MASS_COMMANDS:
+        code, out, err = run(capsys, *command, "--me-mev", repr(m_e), "--mp-mev", repr(m_p),
+                             "--format", "csv")
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            continue
+        assert code == 0, err
+        values = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
+        assert values and all(map(math.isfinite, values)), (command, out)
 
 
 def test_constants_refuses_z(capsys):

@@ -27,6 +27,9 @@ def test_validation_rejects_bad_sets():
         Constants(m_e=2.0, m_p=1.0)
     with pytest.raises(ValueError):
         Constants(hbar_c=float("nan"))
+    for m_e, m_p, name in ((1e308, 1.5e308, "m_plus"), (1e200, 2e200, "mu")):
+        with pytest.raises(ValueError, match=f"^derived mass {name} of m_e = .* is not finite"):
+            Constants(m_e=m_e, m_p=m_p)
 
 
 def test_derived_masses(C, D):

@@ -208,6 +208,13 @@ def test_generate_table2_unavailable_cells():
     assert rows[0]["flags"]["ss"] == "UNAVAILABLE"
 
 
+@pytest.mark.parametrize("count", [1, 11])
+def test_generate_table2_refuses_a_table1_of_another_length(count):
+    table1 = (published_table1() * 2)[:count]
+    with pytest.raises(ValueError, match="^table 1 rows must cover the standard ten states"):
+        generate_table2(Environment(), table1)
+
+
 def test_table1_csv_round_trip():
     rows = published_table1()
     records = list(csv.reader(io.StringIO(table1_to_csv(rows))))

@@ -18,6 +18,7 @@ from hlevels import (
     default_params,
     find_turning_points,
     phase_integral,
+    potential_r,
     qc_root_gaps,
     quantization_residual,
     verification_report,
@@ -33,7 +34,7 @@ def P(C):
 
 
 def _problem(C, D, P, k=0, l=0):
-    s_plus, _, gap_high = qc_root_gaps(QuantumState(k, l), D, C)
+    s_plus, _, gap_high = qc_root_gaps(QuantumState(k, l), D, C, P.z)
     return RadialProblem(s=s_plus, l=l, params=P, derived=D, s_gap_high=gap_high)
 
 
@@ -234,3 +235,43 @@ def test_phase_integral_matches_the_exact_coulomb_action(C, D, z):
         assert abs(integral / action - 1.0) <= 1e-12, st.label
         # the closed-form root solves B/sqrt(A) = k + l + 1: it drops the K (Z alpha)^2 of C
         assert abs(b / math.sqrt(a) / (st.k + st.l + 1) - 1.0) <= 1e-12, st.label
+
+
+def _phase_nodes(problem, n):
+    """The radii at which phase_integral evaluates the radicand with an n-node rule."""
+    tps = find_turning_points(problem)
+    x, _ = gauss_legendre(n)
+    return tps.r1 + (tps.r2 - tps.r1) * np.sin((math.pi / 4.0) * (x + 1.0)) ** 2
+
+
+# The array path runs the float path's operations, except that numpy squares an
+# array as x*x where a float's ** 2 calls pow: the two round about one square in
+# a thousand one ulp apart.  Through u = x/(1+x) and its square that moves the
+# potential by at most a few eps relative (3 eps measured), and the radicand, which
+# cancels its terms next to its zeros, by a few eps times the size of its terms.
+_ARRAY_PATH_EPS = 8.0 * np.finfo(float).eps
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=1, max_value=136),
+       st.floats(min_value=math.log10(0.84), max_value=math.log10(8.4e6)),
+       st.integers(min_value=0, max_value=7))
+@example(80, math.log10(8.4e6), 0)
+@example(1, math.log10(840.0), 7)
+def test_array_path_matches_the_float_path(C, D, z, log10_lam, l):
+    params = PotentialParams(alpha=C.alpha, lam=10.0**log10_lam, z=z)
+    r = np.concatenate([np.logspace(_SCAN_LOG10_LO, _SCAN_LOG10_HI, _SCAN_POINTS)]
+                       + [_phase_nodes(_problem(C, D, params, st_.k, st_.l), n)
+                          for st_ in TABLE_STATES for n in (32, 64, 128, 256)])
+    v = potential_r(r, params)
+    np.testing.assert_allclose(v, [potential_r(ri, params) for ri in r.tolist()],
+                               rtol=_ARRAY_PATH_EPS, atol=0.0)
+    p = _problem(C, D, params, l=l)
+    w = np.abs(v)
+    terms = p.k_factor * (p.s_gap_high + w * (2.0 * D.m_plus + w)) + (p.m_l / r) ** 2
+    defect = np.abs(p.radicand(r) - [p.radicand(ri) for ri in r.tolist()])
+    assert np.all(defect <= _ARRAY_PATH_EPS * terms)
+    # the origin keeps its limit V(0) = 0.0, as a float and inside an array
+    origin = potential_r(0.0, params)
+    assert origin == 0.0 and math.copysign(1.0, origin) == 1.0
+    np.testing.assert_array_equal(potential_r(np.array([0.0, r[0]]), params), [0.0, v[0]])
