@@ -104,15 +104,14 @@ def _solver_from(args):
 
 
 def _refuse_non_finite(rows):
-    """Raise before any output when a row holds a number that is not finite.
+    """Raise OverflowError before any output when a row holds a number that is not finite.
 
     The formulas overflow only at extreme inputs, such as masses near 1e150 MeV.
     """
     for r in rows:
         for name, value in r.items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ArithmeticError(f"{name} of {next(iter(r.values()))} is {value}: "
-                                      f"the inputs exceed the range of double precision")
+                raise OverflowError(f"{name} of {next(iter(r.values()))} is {value}")
 
 
 def _emit_rows(rows, header, fmt, float_fmt="{:.8f}"):
@@ -307,7 +306,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (HlevelsError, ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, (OverflowError, FloatingPointError)):
+            message += ": the inputs exceed the range of double precision"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

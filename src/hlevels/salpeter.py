@@ -21,8 +21,9 @@ The momentum grid spans 40 octaves below the basis and reaches
 p = 1e6 MeV above it, and the overlap check uses every node.  The kinetic
 product does not: nodes that far out add less than 1e-20 of trace(K), so
 each core keeps only the one contiguous slice of nodes that carries
-kinetic weight at either end of its scale range (a quarter to three fifths
-of the grid).  What it drops is below round-off.
+nonrelativistic kinetic weight, a share that does not depend on the scale
+(a quarter to three fifths of the grid).  What it drops is below round-off
+at every scale.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ _SCALE_GUARD = 0.1  # a minimizer this close to an end in log(scale) may lie pas
 _SCALE_WIDEN = 2.0  # such an end moves out by this factor in scale ...
 _SCALE_WIDENINGS = 10  # ... at most this many times
 _OVERLAP_DEFECT_MAX = 1.0e-3  # max|S - I| of the quadrature overlap
-_KINETIC_SCREEN = 1.0e-20  # a node's least share of trace(K)/basis_size to enter the product
+_KINETIC_SCREEN = 1.0e-20  # a node's least share of sum(g u^2)/basis_size to enter the product
 
 
 class _SolverConfig(NamedTuple):
@@ -164,45 +165,41 @@ def _coulomb_matrix(nb: int, l: int, alpha: float, z: int) -> np.ndarray:
 class _ScaledCore:
     """Scale-free operator parts for one orbital momentum and basis size.
 
-    Built for inverse scales a in a_range = (a_lo, a_hi) from one array,
-    B = phi*sqrt(w u^2/a_lo) on the full grid in u = p/a, which reaches
-    p = _P_MAX_MEV at a_lo.  The overlap S = B B^T is the identity
-    analytically; a grid that aliases the basis moves it away, and the
-    variational search then finds spurious low levels, so such a grid raises
-    IllConditionedBasis.  The core also holds the unit-scale Coulomb matrix
-    V1 and L^-1 with S = L L^T.
+    Built from one array, B = phi*sqrt(w u^2/a_ref) on the full grid in
+    u = p/a_ref, which reaches p = _P_MAX_MEV at the inverse scale a_ref.
+    The overlap S = B B^T is the identity analytically; a grid that aliases
+    the basis moves it away, and the variational search then finds spurious
+    low levels, so such a grid raises IllConditionedBasis.  The core also
+    holds the unit-scale Coulomb matrix V1 and L^-1 with S = L L^T.
 
     The kinetic product runs over one contiguous slice of the grid.  Node i
-    adds g_i*tau(a*u_i) to trace(K(a)), with g_i = sum_n B_ni^2, and the
-    slice spans every node whose share exceeds
-    _KINETIC_SCREEN * trace(K(a)) / basis_size at a_lo or at a_hi.  Nodes
-    outside it change no matrix element beyond round-off, and skipping them
-    halves the cost of a trial or better.  The core keeps B on that slice
-    alone, and K(a) = (B sqrt(tau)) (B sqrt(tau))^T.  kinetic(a) refuses an
-    a outside the range the slice was chosen for.
+    adds g_i*tau(a*u_i) to trace(K(a)), with g_i = sum_n B_ni^2.  In the
+    nonrelativistic regime tau(a*u) = (a*u)^2/(2 mu), so a node's share of the
+    trace does not depend on a; since sqrt(p^2+m^2) - m <= p^2/(2m), that
+    share over-counts the relativistic tail.  The slice spans every node whose
+    g_i*u_i^2 exceeds _KINETIC_SCREEN * sum(g*u^2) / basis_size.  Nodes
+    outside it change no matrix element beyond round-off at any scale, and
+    skipping them halves the cost of a trial or better.  The core keeps B on
+    that slice alone, and K(a) = (B sqrt(tau)) (B sqrt(tau))^T.
     """
 
-    def __init__(self, l, cfg: SolverConfig, c: Constants, z: int, a_range):
+    def __init__(self, l, cfg: SolverConfig, c: Constants, z: int, a_ref: float):
         if l < 0:
             raise ValueError(f"l must be >= 0, got {l}")
         self.masses = (c.m_e, c.m_p)
-        self.a_range = a_range
-        a_lo = a_range[0]
-        p, w = _momentum_grid(a_lo, cfg.quad_nodes)
-        u = p / a_lo
-        b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w / a_lo * u * u))
-        self.overlap = b @ b.T  # one syrk: exactly symmetric
-        defect = float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size))))
+        with np.errstate(over="ignore", invalid="ignore"):  # the overlap check refuses a NaN
+            p, w = _momentum_grid(a_ref, cfg.quad_nodes)
+            u = p / a_ref
+            b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w / a_ref * u * u))
+            self.overlap = b @ b.T  # one syrk: exactly symmetric
+            defect = float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size))))
         if not defect <= _OVERLAP_DEFECT_MAX:  # NaN fails too
             raise IllConditionedBasis(
                 f"overlap deviates from the identity by {defect:.3e} "
                 f"(limit {_OVERLAP_DEFECT_MAX:g}); the momentum grid is too coarse for the basis"
             )
-        g = np.einsum("ij,ij->j", b, b)
-        kept = np.zeros(u.size, dtype=bool)
-        for a in set(a_range):  # one pass at a fixed scale
-            share = g * self._tau_sum(a * u)
-            kept |= share > _KINETIC_SCREEN * share.sum() / cfg.basis_size
+        share = np.einsum("ij,ij->j", b, b) * (u * u)
+        kept = share > _KINETIC_SCREEN * share.sum() / cfg.basis_size
         first, last = np.flatnonzero(kept)[[0, -1]]
         self.kept = slice(int(first), int(last) + 1)
         self.u = u[self.kept]
@@ -214,16 +211,9 @@ class _ScaledCore:
         self.v1 = _coulomb_matrix(cfg.basis_size, l, c.alpha, z)
         self.l_inv = np.linalg.inv(np.linalg.cholesky(self.overlap))
 
-    def _tau_sum(self, p: np.ndarray) -> np.ndarray:
-        return sum(_tau(p, m) for m in self.masses)
-
     def kinetic(self, a: float) -> np.ndarray:
         """Binding kinetic matrix (rest mass removed) at inverse scale a."""
-        a_lo, a_hi = self.a_range
-        if not a_lo <= a <= a_hi:
-            raise ValueError(f"inverse scale {a!r} MeV is outside the range "
-                             f"[{a_lo!r}, {a_hi!r}] MeV this core was screened for")
-        b = self.b * np.sqrt(self._tau_sum(a * self.u))
+        b = self.b * np.sqrt(sum(_tau(a * self.u, m) for m in self.masses))
         return b @ b.T  # one syrk: exactly symmetric
 
     def spectrum(self, a: float) -> np.ndarray:
@@ -235,7 +225,7 @@ class _ScaledCore:
 def build_matrices(l: int, cfg: SolverConfig, c: Constants, z: int = 1) -> SSOperatorMatrices:
     """Potential, overlap and binding kinetic matrices for orbital momentum l at the Bohr scale."""
     a = 1.0 / _bohr_length(c, z)
-    core = _ScaledCore(l, cfg, c, z, (a, a))
+    core = _ScaledCore(l, cfg, c, z, a)
     return SSOperatorMatrices(potential=a * core.v1, overlap=core.overlap,
                               kinetic_binding=core.kinetic(a))
 
@@ -322,7 +312,7 @@ def lowest_levels(
 
     With scale_search enabled each target level is minimized over the log
     of the variational length parameter by golden-section search until the
-    level stops moving: 5 to 24 evaluations per level in the ten-state
+    level stops moving: 5 to 22 evaluations per level in the ten-state
     table, at most 29 for k + l + 1 up to 81.  A bracket end that holds the
     minimizer widens (_widened_min), as the S wave's lower end does from
     Z = 73 on.  Raises SupercriticalCharge when z*alpha exceeds the critical
@@ -343,21 +333,14 @@ def lowest_levels(
     base = _bohr_length(c, z)
     if not cfg.scale_search:
         a = 1.0 / base
-        values = _ScaledCore(l, cfg, c, z, (a, a)).spectrum(a)[:count]
+        values = _ScaledCore(l, cfg, c, z, a).spectrum(a)[:count]
     else:
         lo, hi = _SCALE_BRACKET
         # optimal length scales like N/(mu*Z*alpha): widen the bracket with index
-        a_range = (1.0 / (base * hi * (count + l)), 1.0 / (base * lo))
-        reach = _SCALE_WIDEN**_SCALE_WIDENINGS
-        core = _ScaledCore(l, cfg, c, z, a_range)
+        core = _ScaledCore(l, cfg, c, z, 1.0 / (base * hi * (count + l)))
 
         def level(index, log_scale):
-            nonlocal core
-            a, (a_lo, a_hi) = math.exp(-log_scale), core.a_range
-            if not a_lo <= a <= a_hi:  # a widened bracket: screen once for its widest reach
-                core = _ScaledCore(l, cfg, c, z, (a_range[0] / reach if a < a_lo else a_lo,
-                                                  a_range[1] * reach if a > a_hi else a_hi))
-            return core.spectrum(a)[index]
+            return core.spectrum(math.exp(-log_scale))[index]
 
         values = [
             _widened_min(

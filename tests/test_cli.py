@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -216,11 +217,26 @@ def test_verify_at_lambda_1e145_is_the_point_coulomb_limit(capsys):
     ("widths", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed nan
     ("widths", "--states", "1S", "--me-mev", "1e-300", "--mp-mev", "1e-160"),  # printed nan
     ("constants", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed inf and nan
+    ("salpeter", "--states", "1S", "--basis-size", "8", "--me-mev", "1e-260",
+     "--mp-mev", "1.5e-60"),  # printed six RuntimeWarning lines first
 ])
 def test_overflow_is_an_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    # an overflow names the range of doubles; a refused mass or basis names itself
+    assert err.endswith(": the inputs exceed the range of double precision\n") or err.startswith(
+        ("error: derived mass", "error: overlap deviates")), err
+
+
+@pytest.mark.filterwarnings("error")
+def test_salpeter_overflow_empties_only_the_ss_cells(capsys):
+    code, out, err = run(capsys, "compare", "--basis-size", "8", "--me-mev", "1e-260",
+                         "--mp-mev", "1.5e-60")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == "243e0686ddeaa450d1b0b53ead87e45f"
+    flags = [line.split()[-1] for line in out.splitlines()[12:]]
+    assert len(flags) == 10 and all("ss=UNAVAILABLE" in f for f in flags)
 
 
 _MASS_MEV = st.floats(min_value=1e-300, max_value=1e308, allow_subnormal=False)

@@ -195,66 +195,70 @@ def test_core_spectrum_matches_generalized_eigh(C, l, z):
     m = build_matrices(l, cfg, C, z)
     reference = eigh(m.kinetic_binding + m.potential, m.overlap, eigvals_only=True)
     a = 1.0 / _bohr_length(C, z)
-    got = _ScaledCore(l, cfg, C, z, (a, a)).spectrum(a)
+    got = _ScaledCore(l, cfg, C, z, a).spectrum(a)
     # eigenvalues near zero are held to 1e-10 of the Rydberg energy instead
     rydberg = derive(C).mu * (z * C.alpha) ** 2 / 2.0
     np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-10 * rydberg)
 
 
-def test_core_refuses_a_scale_outside_its_screened_range(C):
-    a = 1.0 / _bohr_length(C, 1)
-    core = _ScaledCore(0, small_cfg(), C, 1, (a, 2.0 * a))
-    for inside in (a, 1.5 * a, 2.0 * a):
-        assert np.all(np.isfinite(core.spectrum(inside)))
-    for outside in (0.5 * a, 2.5 * a):
-        with pytest.raises(ValueError, match=r"outside the range \[.+, .+\] MeV"):
-            core.spectrum(outside)
-
-
-def _tau_sum(p, masses):
-    return sum(_tau(p, m) for m in masses)
-
-
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from([16, 32, 64, 128]), st.integers(min_value=0, max_value=4),
        st.integers(min_value=1, max_value=87), st.floats(min_value=0.05, max_value=4.0),
-       st.booleans())
-def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, searched):
+       st.floats(min_value=-11.0, max_value=13.0), st.booleans())
+def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, far_log2,
+                                                 searched):
     cfg = SolverConfig(basis_size=nb)
     base = _bohr_length(C, z)
-    a = 1.0 / (base * bohr_multiple)
-    lo, hi = _SCALE_BRACKET
     count = min(4, nb // 2)
-    # the range lowest_levels screens for when it searches, or the one scale
-    a_range = (1.0 / (base * hi * (count + l)), 1.0 / (base * lo)) if searched else (a, a)
-    core = _ScaledCore(l, cfg, C, z, a_range)
+    # the grid lowest_levels builds when it searches, or the one at the Bohr scale
+    a_ref = 1.0 / (base * _SCALE_BRACKET[1] * (count + l)) if searched else 1.0 / base
+    core = _ScaledCore(l, cfg, C, z, a_ref)
 
     # oracle: the plain weighted product over every node of the grid
-    p, w = _momentum_grid(a_range[0], cfg.quad_nodes)
-    u = p / a_range[0]
-    weight = w / a_range[0] * u * u
+    p, w = _momentum_grid(a_ref, cfg.quad_nodes)
+    u = p / a_ref
+    weight = w / a_ref * u * u
     phi = _momentum_basis(u, nb, l)
-    masses = (C.m_e, C.m_p)
-    kinetic = (phi * (weight * _tau_sum(a * u, masses))) @ phi.T
     overlap = (phi * weight) @ phi.T
     l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (overlap + overlap.T)))
-    h = kinetic + a * _coulomb_matrix(nb, l, C.alpha, z)
-    full = np.linalg.eigvalsh(l_inv @ h @ l_inv.T)
-    rydberg = D.mu * C.alpha**2 / 2.0
-    got = core.spectrum(a)
-    assert np.max(np.abs(got[:count] - full[:count])) <= 1e-10 * z * z * rydberg
+    v1 = _coulomb_matrix(nb, l, C.alpha, z)
 
-    # the kept nodes are one contiguous slice holding every node above the screen
+    def full_spectrum(a):
+        tau = sum(_tau(a * u, m) for m in (C.m_e, C.m_p))
+        h = (phi * (weight * tau)) @ phi.T + a * v1
+        return np.linalg.eigvalsh(l_inv @ h @ l_inv.T)[:count]
+
+    scale = z * z * D.mu * C.alpha**2 / 2.0  # Z^2 Ry
+    # the search's first bracket, held to the Rydberg energy
+    a = 1.0 / (base * bohr_multiple)
+    assert np.max(np.abs(core.spectrum(a)[:count] - full_spectrum(a))) <= 1e-10 * scale
+    # the screen does not depend on the scale: it holds far past the search's 1024-fold reach
+    a = 1.0 / (base * 2.0**far_log2)
+    full = full_spectrum(a)
+    bound = 1e-10 * np.maximum(scale, np.abs(full))
+    assert np.all(np.abs(core.spectrum(a)[:count] - full) <= bound)
+
+    # the kept nodes are one contiguous slice holding every node whose g u^2 is above the screen
     assert core.kept.step is None
     np.testing.assert_array_equal(core.u, u[core.kept])
-    g = np.einsum("ij,ij->j", phi, phi * weight)
-    above = np.zeros(u.size, dtype=bool)
-    for end in a_range:
-        share = g * _tau_sum(end * u, masses)
-        above |= share > _KINETIC_SCREEN * share.sum() / nb
-    first, last = np.flatnonzero(above)[[0, -1]]
+    share = np.einsum("ij,ij->j", phi, phi * weight) * u * u
+    first, last = np.flatnonzero(share > _KINETIC_SCREEN * share.sum() / nb)[[0, -1]]
     assert (core.kept.start, core.kept.stop) == (first, last + 1)
     assert core.kept.stop - core.kept.start < u.size
+
+
+@pytest.mark.parametrize("z", [1, 73, 87])
+def test_table_column_builds_one_core_per_l(C, monkeypatch, z):
+    # the S-wave bracket widens from Z = 73 on; the scale-free screen keeps its core
+    built, init = [], _ScaledCore.__init__
+
+    def counting_init(self, l, *args):
+        built.append(l)
+        init(self, l, *args)
+
+    monkeypatch.setattr(_ScaledCore, "__init__", counting_init)
+    salpeter_levels(TABLE_STATES, SolverConfig(), C, z=z)
+    assert built == [0, 1, 2, 3, 4]
 
 
 def test_core_build_holds_one_basis_array(C):
@@ -264,7 +268,7 @@ def test_core_build_holds_one_basis_array(C):
     nodes = _momentum_grid(a, cfg.quad_nodes)[0].size
     tracemalloc.start()
     try:
-        _ScaledCore(0, cfg, C, 1, (a, a))
+        _ScaledCore(0, cfg, C, 1, a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,7 +337,7 @@ def test_scale_search_agrees_with_scipy_bounded(C, l):
     cfg = SolverConfig()
     base = _bohr_length(C, 1)
     lo, hi = _SCALE_BRACKET
-    core = _ScaledCore(l, cfg, C, 1, (1.0 / (base * hi * (l + 1)), 1.0 / (base * lo)))
+    core = _ScaledCore(l, cfg, C, 1, 1.0 / (base * hi * (l + 1)))
     calls = []
 
     def objective(log_scale):
