@@ -17,18 +17,18 @@ kinetic matrix at scale a is (B sqrt(tau)) (B sqrt(tau))^T, each one
 symmetric rank-k product (BLAS syrk) and exactly symmetric.  A scale trial
 therefore costs one such product and one symmetric eigensolve.
 
-The momentum grid spans 40 octaves below the basis and reaches
-p = 1e6 MeV above it, and the overlap check uses every node.  The kinetic
-product does not: nodes that far out add less than 1e-20 of trace(K), so
-each core keeps only the one contiguous slice of nodes that carries
-nonrelativistic kinetic weight, a share that does not depend on the scale
-(a quarter to three fifths of the grid).  What it drops is below round-off
-at every scale.
+Each core builds its momentum grid at the Bohr scale 1/(mu*Z*alpha), so a
+searched and a fixed-scale solve share it.  The grid spans 40 octaves below
+the basis and reaches p = 1e6 MeV above it, and the overlap check uses
+every node.  The kinetic product does not: nodes that far out add less
+than 1e-20 of trace(K), so each core keeps only the one contiguous slice
+of nodes that carries nonrelativistic kinetic weight, a share that does
+not depend on the scale (a quarter to two thirds of the grid).  What it
+drops is below round-off at every scale.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -150,8 +150,10 @@ def _momentum_grid(a: float, total_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tau(p: np.ndarray, m: float) -> np.ndarray:
-    # sqrt(p^2 + m^2) - m, evaluated without cancellation
-    return p * p / (m + np.hypot(p, m))
+    # sqrt(p^2 + m^2) - m, evaluated without cancellation; past m = 8.9e307 the
+    # denominator overflows and tau is 0, below round-off beside the lighter mass's tau
+    with np.errstate(over="ignore"):
+        return p * p / (m + np.hypot(p, m))
 
 
 def _coulomb_matrix(nb: int, l: int, alpha: float, z: int) -> np.ndarray:
@@ -165,12 +167,13 @@ def _coulomb_matrix(nb: int, l: int, alpha: float, z: int) -> np.ndarray:
 class _ScaledCore:
     """Scale-free operator parts for one orbital momentum and basis size.
 
-    Built from one array, B = phi*sqrt(w u^2/a_ref) on the full grid in
-    u = p/a_ref, which reaches p = _P_MAX_MEV at the inverse scale a_ref.
-    The overlap S = B B^T is the identity analytically; a grid that aliases
-    the basis moves it away, and the variational search then finds spurious
-    low levels, so such a grid raises IllConditionedBasis.  The core also
-    holds the unit-scale Coulomb matrix V1 and L^-1 with S = L L^T.
+    Built from one array, B = phi*sqrt(w u^2/a) on the full grid in u = p/a
+    at the inverse Bohr scale a = mu*Z*alpha (self.a), the one grid of every
+    solve.  The overlap S = B B^T is the identity analytically; a grid that
+    aliases the basis moves it away, and the variational search then finds
+    spurious low levels, so such a grid raises IllConditionedBasis, as does
+    a NaN basis, whose masses put the grid past the range of doubles.  The
+    core also holds the unit-scale Coulomb matrix V1 and L^-1 with S = L L^T.
 
     The kinetic product runs over one contiguous slice of the grid.  Node i
     adds g_i*tau(a*u_i) to trace(K(a)), with g_i = sum_n B_ni^2.  In the
@@ -183,21 +186,24 @@ class _ScaledCore:
     that slice alone, and K(a) = (B sqrt(tau)) (B sqrt(tau))^T.
     """
 
-    def __init__(self, l, cfg: SolverConfig, c: Constants, z: int, a_ref: float):
+    def __init__(self, l, cfg: SolverConfig, c: Constants, z: int):
         if l < 0:
             raise ValueError(f"l must be >= 0, got {l}")
         self.masses = (c.m_e, c.m_p)
+        self.a = 1.0 / _bohr_length(c, z)  # the inverse Bohr scale mu*Z*alpha
         with np.errstate(over="ignore", invalid="ignore"):  # the overlap check refuses a NaN
-            p, w = _momentum_grid(a_ref, cfg.quad_nodes)
-            u = p / a_ref
-            b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w / a_ref * u * u))
+            p, w = _momentum_grid(self.a, cfg.quad_nodes)
+            u = p / self.a
+            b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w / self.a * u * u))
             self.overlap = b @ b.T  # one syrk: exactly symmetric
             defect = float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size))))
         if not defect <= _OVERLAP_DEFECT_MAX:  # NaN fails too
-            raise IllConditionedBasis(
-                f"overlap deviates from the identity by {defect:.3e} "
-                f"(limit {_OVERLAP_DEFECT_MAX:g}); the momentum grid is too coarse for the basis"
-            )
+            cause = ("the momentum grid is too coarse for the basis" if math.isfinite(defect) else
+                     f"m_e = {c.m_e:.10g} MeV, m_p = {c.m_p:.10g} MeV and Z = {z} give the Bohr "
+                     f"momentum mu*Z*alpha = {self.a:.3e} MeV, which puts the momentum grid "
+                     "outside double precision")
+            raise IllConditionedBasis(f"overlap deviates from the identity by {defect:.3e} "
+                                      f"(limit {_OVERLAP_DEFECT_MAX:g}); {cause}")
         share = np.einsum("ij,ij->j", b, b) * (u * u)
         kept = share > _KINETIC_SCREEN * share.sum() / cfg.basis_size
         first, last = np.flatnonzero(kept)[[0, -1]]
@@ -224,10 +230,9 @@ class _ScaledCore:
 
 def build_matrices(l: int, cfg: SolverConfig, c: Constants, z: int = 1) -> SSOperatorMatrices:
     """Potential, overlap and binding kinetic matrices for orbital momentum l at the Bohr scale."""
-    a = 1.0 / _bohr_length(c, z)
-    core = _ScaledCore(l, cfg, c, z, a)
-    return SSOperatorMatrices(potential=a * core.v1, overlap=core.overlap,
-                              kinetic_binding=core.kinetic(a))
+    core = _ScaledCore(l, cfg, c, z)
+    return SSOperatorMatrices(potential=core.a * core.v1, overlap=core.overlap,
+                              kinetic_binding=core.kinetic(core.a))
 
 
 def _critical_coupling(l: int) -> float:
@@ -310,13 +315,13 @@ def lowest_levels(
 ) -> list[EnergyLevel]:
     """The lowest `count` binding energies for orbital momentum l, in eV.
 
-    With scale_search enabled each target level is minimized over the log
-    of the variational length parameter by golden-section search until the
-    level stops moving: 5 to 22 evaluations per level in the ten-state
-    table, at most 29 for k + l + 1 up to 81.  A bracket end that holds the
-    minimizer widens (_widened_min), as the S wave's lower end does from
-    Z = 73 on.  Raises SupercriticalCharge when z*alpha exceeds the critical
-    coupling of channel l.
+    One core at the Bohr scale serves both paths.  With scale_search enabled
+    each target level is minimized over the log of the variational length
+    parameter by golden-section search until the level stops moving: 5 to
+    21 evaluations per level in the ten-state table, at most 29 for
+    k + l + 1 up to 81.  A bracket end that holds the minimizer widens
+    (_widened_min), as the S wave's lower end does from Z = 73 on.  Raises
+    SupercriticalCharge when z*alpha exceeds the critical coupling of channel l.
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
@@ -330,21 +335,15 @@ def lowest_levels(
             f"Z*alpha = {za:.6f} > critical coupling {bound:.6f} for l={l}; "
             f"no Salpeter level (Z={z})"
         )
-    base = _bohr_length(c, z)
+    core = _ScaledCore(l, cfg, c, z)
     if not cfg.scale_search:
-        a = 1.0 / base
-        values = _ScaledCore(l, cfg, c, z, a).spectrum(a)[:count]
+        values = core.spectrum(core.a)[:count]
     else:
-        lo, hi = _SCALE_BRACKET
+        base, (lo, hi) = _bohr_length(c, z), _SCALE_BRACKET
         # optimal length scales like N/(mu*Z*alpha): widen the bracket with index
-        core = _ScaledCore(l, cfg, c, z, 1.0 / (base * hi * (count + l)))
-
-        def level(index, log_scale):
-            return core.spectrum(math.exp(-log_scale))[index]
-
         values = [
             _widened_min(
-                functools.partial(level, index),
+                lambda log_scale: core.spectrum(math.exp(-log_scale))[index],
                 math.log(base * lo),
                 math.log(base * hi * (index + l + 1)),
                 QuantumState(k=index, l=l).label,

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,8 @@ from hlevels import (
     salpeter_levels,
 )
 from hlevels.cli import BLAS_THREAD_VARIABLES, main, parse_state_label
-from hlevels.salpeter import _SCALE_BRACKET, _bohr_length
+from hlevels.salpeter import _SCALE_BRACKET, _SCALE_RTOL, _bohr_length
+from hlevels.spectra import SPECTROSCOPIC_LETTERS
 
 
 def run(capsys, *argv):
@@ -202,8 +204,8 @@ def test_verify_at_lambda_1e145_is_the_point_coulomb_limit(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--lambda-mev", "1e146"),  # raised OverflowError
     ("verify", "--lambda-mev", "1e200"),
-    ("salpeter", "--states", "1S", "--basis-size", "8", "--me-mev", "1e-300"),  # OverflowError
-    ("compare", "--basis-size", "8", "--me-mev", "1e-300"),
+    ("salpeter", "--states", "1S", "--basis-size", "8", "--me-mev", "1e-300"),  # was OverflowError
+    ("compare", "--basis-size", "8", "--me-mev", "1e-305"),  # 1e6 MeV/(mu*alpha) overflows
     ("compare", "--basis-size", "8", "--me-mev", "1e20", "--mp-mev", "1.5e100"),  # printed qc inf
     ("spectrum", "--states", "1S", "--me-mev", "1e200", "--mp-mev", "2e200"),  # OverflowError
     ("spectrum", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed nan
@@ -230,13 +232,32 @@ def test_overflow_is_an_error_line(capsys, argv):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("masses, m_p", [
+    (("--me-mev", "1e-260", "--mp-mev", "1.5e-60"), "1.5e-60"),
+    (("--me-mev", "1e-300"), "938.2720813"),
+])
+def test_salpeter_refuses_a_basis_the_masses_overflow(capsys, masses, m_p):
+    # the basis is NaN: the line names the masses and Z, not a coarse grid
+    code, out, err = run(capsys, "salpeter", "--states", "1S", "--basis-size", "8", *masses)
+    m_e = masses[1]
+    assert (code, out) == (1, "")
+    assert err.startswith("error: overlap deviates from the identity by nan (limit 0.001); "
+                          f"m_e = {m_e} MeV, m_p = {m_p} MeV and Z = 1 give the Bohr momentum")
+    assert err.endswith("which puts the momentum grid outside double precision\n")
+    assert err.count("\n") == 1 and "too coarse" not in err
+
+
+@pytest.mark.filterwarnings("error")
 def test_salpeter_overflow_empties_only_the_ss_cells(capsys):
-    code, out, err = run(capsys, "compare", "--basis-size", "8", "--me-mev", "1e-260",
-                         "--mp-mev", "1.5e-60")
-    assert (code, err) == (0, "")
-    assert hashlib.md5(out.encode()).hexdigest() == "243e0686ddeaa450d1b0b53ead87e45f"
-    flags = [line.split()[-1] for line in out.splitlines()[12:]]
-    assert len(flags) == 10 and all("ss=UNAVAILABLE" in f for f in flags)
+    # 1e-300 stopped with an overflow while the search built its core below the Bohr scale
+    for masses, md5 in [(("--me-mev", "1e-260", "--mp-mev", "1.5e-60"),
+                         "243e0686ddeaa450d1b0b53ead87e45f"),
+                        (("--me-mev", "1e-300"), "22713a5a270b6abee80b0bdeb08ba556")]:
+        code, out, err = run(capsys, "compare", "--basis-size", "8", *masses)
+        assert (code, err) == (0, "")
+        assert hashlib.md5(out.encode()).hexdigest() == md5
+        flags = [line.split()[-1] for line in out.splitlines()[12:]]
+        assert len(flags) == 10 and all("ss=UNAVAILABLE" in f for f in flags)
 
 
 _MASS_MEV = st.floats(min_value=1e-300, max_value=1e308, allow_subnormal=False)
@@ -267,6 +288,98 @@ def test_every_printed_number_is_finite_over_the_masses(capsys, m_1, m_2):
         assert code == 0, err
         values = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
         assert values and all(map(math.isfinite, values)), (command, out)
+
+
+_MODEL_FLAGS = ("schrodinger", "sommerfeld", "kg", "scalar", "qc")
+_NUMBER_SEPARATORS = re.compile(r'[\s,:=|"\[\]{}]+')
+
+
+@st.composite
+def _state_lists(draw):
+    # labels such as 1S and pairs k:l (l past the letters too); a k,l pair splits in two
+    def label(k, l, form):
+        return (f"{k + 1}{SPECTROSCOPIC_LETTERS[l % 5]}", f"{k}:{l}", f"{k},{l}")[form]
+
+    pairs = st.tuples(st.integers(0, 3), st.integers(0, 4) | st.integers(0, 9),
+                      st.sampled_from([0, 0, 0, 1, 1, 2]))
+    return ",".join(label(*p) for p in draw(st.lists(pairs, min_size=1, max_size=4)))
+
+
+@st.composite
+def _cli_argv(draw):
+    """An argv over every command and the documented ranges of its options."""
+    command = draw(st.sampled_from(
+        ["spectrum", "widths", "verify", "salpeter", "salpeter", "compare", "constants"]))
+    argv = [command, "--format", draw(st.sampled_from(["text", "csv", "json"]))]
+    if command == "spectrum":
+        argv += ["--model", draw(st.sampled_from(_MODEL_FLAGS))]
+        argv += ["--reduced-mass"] if draw(st.booleans()) else []
+    if command in ("spectrum", "widths", "salpeter"):
+        argv += ["--states", draw(_state_lists())]
+    # small bases keep the solves fast; 512 is refused by the overlap check
+    basis = {"salpeter": st.integers(4, 32) | st.integers(4, 32) | st.sampled_from([3, 512]),
+             "compare": st.integers(3, 12)}
+    if command in basis:
+        argv += ["--basis-size", str(draw(basis[command]))]
+    if command == "verify" and draw(st.booleans()):
+        lam = draw(st.floats(0.84, 1e150) | st.sampled_from([math.nan, math.inf, -math.inf]))
+        argv += ["--lambda-mev", repr(lam)]
+    if command != "constants" and draw(st.booleans()):
+        argv += ["--z", str(draw(st.integers(1, 100) | st.integers(0, 300)))]
+    # each input keeps its default in about half the draws
+    mass = st.none() | st.none() | st.floats(1e-3, 1e4) | st.floats(1e-300, 1e308)
+    alpha = draw(st.none() | st.none() | st.floats(1e-4, 0.05) | st.floats(1e-6, 1.0)
+                 | st.sampled_from([math.nan, math.inf]))
+    m_e = draw(mass)
+    m_p = draw(mass | st.just(m_e))  # equal masses included
+    if m_e is not None and m_p is not None:
+        m_e, m_p = sorted((m_e, m_p))
+    for flag, value in (("--alpha", alpha), ("--me-mev", m_e), ("--mp-mev", m_p)):
+        argv += [] if value is None else [flag, repr(value)]
+    return argv
+
+
+def _printed_levels(out: str, fmt: str) -> dict:
+    if fmt == "json":
+        return {r["state"]: r["T_eV"] for r in json.loads(out)}
+    return {state: float(value) for state, value in
+            (line.replace(",", " ").split() for line in out.splitlines()[1:])}
+
+
+# run() drains capsys on every call, so no output carries over between examples
+@settings(deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cli_argv())
+@example(["salpeter", "--format", "csv", "--states", "1S,1G", "--basis-size", "16", "--z", "80"])
+@example(["compare", "--format", "json", "--basis-size", "8"])
+@example(["salpeter", "--format", "text", "--states", "1S", "--basis-size", "4",
+          "--mp-mev", "8.98846567431158e+307"])  # printed a numpy overflow warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_input_contract(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code == 1 and not err.startswith("verification failed: "):  # verify's residual gate
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    for token in _NUMBER_SEPARATORS.split(out):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert math.isfinite(value), (argv, token)
+    assert run(capsys, *argv) == (code, out, err), argv
+    if argv[0] == "salpeter" and code == 0:
+        # the searched level is the least of a search whose bracket holds the Bohr scale, on
+        # the core the fixed-scale solve uses; the search stops once its values agree to
+        # _SCALE_RTOL (measured: searched - fixed <= 4.5e-14 relative over 221 random solves)
+        args = cli.build_parser().parse_args(argv)
+        fixed = salpeter_levels(cli._split_states(args.states), cli._solver_from(args)._replace(
+            scale_search=False), cli._constants_from(args), z=args.z)
+        printed = _printed_levels(out, args.format)
+        rounding = 0.0 if args.format == "json" else 5e-9  # text and csv print 8 decimals
+        assert list(printed) == [state.label for state in fixed]
+        for state, value in fixed.items():
+            assert printed[state.label] <= value + _SCALE_RTOL * abs(value) + rounding, argv
 
 
 def test_constants_refuses_z(capsys):
@@ -351,11 +464,23 @@ def test_salpeter_refuses_a_level_past_the_widest_bracket(capsys, monkeypatch):
     factor = 1e6 / _bohr_length(c, 1)
     lo, hi = _SCALE_BRACKET
     monkeypatch.setattr("hlevels.salpeter._SCALE_BRACKET", (lo * factor, hi * factor))
-    message = "1S: the scale search still ends on its lower edge, 48.8291 1/MeV, after widening"
+    message = "1S: the scale search still ends on its lower edge, 48.8314 1/MeV, after widening"
     with pytest.raises(ScaleSearchFailure, match=f"^{message} it 1024-fold$"):
         salpeter_levels([QuantumState(0, 0)], SolverConfig(), c)
     code, out, err = run(capsys, "salpeter", "--states", "1S")
     assert (code, out, err) == (1, "", f"error: {message} it 1024-fold\n")
+
+
+def test_searched_basis_144_solves(capsys):
+    # the searched core shares the Bohr-scale grid; on its own sparser grid it was refused
+    # with max|S - I| = 1.160e-3 while the fixed-scale solve passed at 3.3e-5
+    code, out, err = run(capsys, "salpeter", "--states", "1S,1G", "--basis-size", "144",
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    levels = dict(line.split(",") for line in out.splitlines()[1:])
+    assert list(levels) == ["1S", "1G"]
+    assert float(levels["1S"]) == pytest.approx(-13.5992, abs=1e-3)
+    assert float(levels["1G"]) == pytest.approx(-0.5439, abs=1e-3)
 
 
 @pytest.mark.parametrize("command", ["compare", "salpeter"])
