@@ -8,6 +8,7 @@ converted to eV only at the reporting boundary.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 EV_PER_MEV = 1.0e6
@@ -81,14 +82,18 @@ def default_constants() -> Constants:
 def derive(c: Constants) -> DerivedMasses:
     """Compute the derived mass combinations from a constant set.
 
-    The reduced mass is evaluated as a single product-over-sum expression;
-    no intermediate subtraction enters any of the four combinations.
+    The reduced mass is evaluated as a single product-over-sum expression,
+    or as m_e/(1 + m_e/m_p) where the product m_e*m_p falls below the normal
+    doubles and would lose digits; no intermediate subtraction enters any of
+    the four combinations.
     """
+    product = c.m_e * c.m_p
     return DerivedMasses(
         m_plus=c.m_p + c.m_e,
         m_minus=c.m_p - c.m_e,
         m_a=(c.m_p + c.m_e) / 2.0,
-        mu=c.m_e * c.m_p / (c.m_p + c.m_e),
+        mu=product / (c.m_p + c.m_e) if product >= sys.float_info.min
+        else c.m_e / (1.0 + c.m_e / c.m_p),
     )
 
 

@@ -19,12 +19,16 @@ therefore costs one such product and one symmetric eigensolve.
 
 Each core builds its momentum grid at the Bohr scale 1/(mu*Z*alpha), so a
 searched and a fixed-scale solve share it.  The grid spans 40 octaves below
-the basis and reaches p = 1e6 MeV above it, and the overlap check uses
-every node.  The kinetic product does not: nodes that far out add less
-than 1e-20 of trace(K), so each core keeps only the one contiguous slice
-of nodes that carries nonrelativistic kinetic weight, a share that does
-not depend on the scale (a quarter to two thirds of the grid).  What it
-drops is below round-off at every scale.
+the basis and reaches p = 1e6 MeV above it, one Gauss-Legendre panel per
+octave.  A panel's order follows the basis: the octaves around the Bohr
+momentum, where the basis oscillates, take up to quad_nodes // n_panels
+nodes, and the far octaves, which hold smooth power laws, take 12 (1152 of
+the 4080 nodes a uniform order gave, at basis 64 and Z = 1).  The overlap
+check uses every node.  The kinetic product does not: nodes that far out
+add less than 1e-20 of trace(K), so each core keeps only the one contiguous
+slice of nodes that carries nonrelativistic kinetic weight, a slice that
+does not depend on the scale (570 to 850 nodes for l = 4 to 0 at basis 64
+and Z = 1).  What it drops is below round-off at every scale.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ _SCALE_WIDEN = 2.0  # such an end moves out by this factor in scale ...
 _SCALE_WIDENINGS = 10  # ... at most this many times
 _OVERLAP_DEFECT_MAX = 1.0e-3  # max|S - I| of the quadrature overlap
 _KINETIC_SCREEN = 1.0e-20  # a node's least share of sum(g u^2)/basis_size to enter the product
+_GRID_NODES_PER_RADIAN = 4.0  # a panel's Gauss order per basis function and radian of theta
+_GRID_MIN_ORDER = 12  # the least Gauss order of a panel
 
 
 class _SolverConfig(NamedTuple):
@@ -58,9 +64,11 @@ class _SolverConfig(NamedTuple):
 
 
 class SolverConfig(_CheckedRecord, _SolverConfig):
-    """Basis size, quadrature order, and whether to search the length scale.
+    """Basis size, quadrature cap, and whether to search the length scale.
 
-    Without the search the scale is the Bohr length 1/(mu*Z*alpha).
+    quad_nodes // n_panels caps the Gauss order of each octave panel of the
+    momentum grid; the basis size sets the order below that cap.  Without
+    the search the scale is the Bohr length 1/(mu*Z*alpha).
     """
 
     __slots__ = ()
@@ -136,17 +144,27 @@ def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight=1.0) -> np.ndarr
     return out
 
 
-def _momentum_grid(a: float, total_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on octave panels of a rational p-grid."""
+def _momentum_grid(a: float, total_nodes: int, basis_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on octave panels of a rational p-grid.
+
+    Panel k spans u = p/a in [2^k, 2^(k+1)], or dtheta_k in theta = 2*arctan(u).
+    In theta the basis is a trigonometric polynomial of degree about
+    2*basis_size, so the panel takes _GRID_NODES_PER_RADIAN * basis_size *
+    dtheta_k nodes, at least _GRID_MIN_ORDER for the kinetic factor's branch
+    points at p = +-i*m, and at most max(8, total_nodes // n_panels).
+    Needs a finite _P_MAX_MEV / a.
+    """
     n_panels = _P_MIN_OCTAVES + max(1, int(math.ceil(math.log2(_P_MAX_MEV / a))))
     per_panel = max(8, total_nodes // n_panels)
-    x, w = gauss_legendre(per_panel)
-    edges = a * 2.0 ** np.arange(-_P_MIN_OCTAVES, n_panels - _P_MIN_OCTAVES + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    ps = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
-    return ps, ws
+    octaves = np.arange(-_P_MIN_OCTAVES, n_panels - _P_MIN_OCTAVES + 1)
+    span = 2.0 * np.diff(np.arctan(2.0 ** octaves))
+    orders = np.clip(np.ceil(_GRID_NODES_PER_RADIAN * basis_size * span),
+                     _GRID_MIN_ORDER, per_panel).astype(int)
+    x, w = (np.concatenate(part) for part in zip(*map(gauss_legendre, orders.tolist())))
+    edges = a * 2.0 ** octaves
+    mid = np.repeat(0.5 * (edges[1:] + edges[:-1]), orders)
+    half = np.repeat(0.5 * (edges[1:] - edges[:-1]), orders)
+    return mid + half * x, half * w
 
 
 def _tau(p: np.ndarray, m: float) -> np.ndarray:
@@ -169,11 +187,13 @@ class _ScaledCore:
 
     Built from one array, B = phi*sqrt(w u^2/a) on the full grid in u = p/a
     at the inverse Bohr scale a = mu*Z*alpha (self.a), the one grid of every
-    solve.  The overlap S = B B^T is the identity analytically; a grid that
-    aliases the basis moves it away, and the variational search then finds
-    spurious low levels, so such a grid raises IllConditionedBasis, as does
-    a NaN basis, whose masses put the grid past the range of doubles.  The
-    core also holds the unit-scale Coulomb matrix V1 and L^-1 with S = L L^T.
+    solve, whose panel orders follow the basis size.  The overlap S = B B^T
+    is the identity analytically; a grid that aliases the basis moves it
+    away, and the variational search then finds spurious low levels, so such
+    a grid raises IllConditionedBasis, as do masses that put the grid past
+    the range of doubles: a grid with no finite octave count, or a NaN
+    basis.  The core also holds the unit-scale Coulomb matrix V1 and L^-1
+    with S = L L^T.
 
     The kinetic product runs over one contiguous slice of the grid.  Node i
     adds g_i*tau(a*u_i) to trace(K(a)), with g_i = sum_n B_ni^2.  In the
@@ -191,17 +211,20 @@ class _ScaledCore:
             raise ValueError(f"l must be >= 0, got {l}")
         self.masses = (c.m_e, c.m_p)
         self.a = 1.0 / _bohr_length(c, z)  # the inverse Bohr scale mu*Z*alpha
+        outside = (f"m_e = {c.m_e:.10g} MeV, m_p = {c.m_p:.10g} MeV and Z = {z} give the Bohr "
+                   f"momentum mu*Z*alpha = {self.a:.3e} MeV, which puts the momentum grid "
+                   "outside double precision")
+        if not math.isfinite(_P_MAX_MEV / self.a):
+            raise IllConditionedBasis(f"the momentum grid has no finite octave count; {outside}")
         with np.errstate(over="ignore", invalid="ignore"):  # the overlap check refuses a NaN
-            p, w = _momentum_grid(self.a, cfg.quad_nodes)
+            p, w = _momentum_grid(self.a, cfg.quad_nodes, cfg.basis_size)
             u = p / self.a
             b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w / self.a * u * u))
             self.overlap = b @ b.T  # one syrk: exactly symmetric
             defect = float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size))))
         if not defect <= _OVERLAP_DEFECT_MAX:  # NaN fails too
-            cause = ("the momentum grid is too coarse for the basis" if math.isfinite(defect) else
-                     f"m_e = {c.m_e:.10g} MeV, m_p = {c.m_p:.10g} MeV and Z = {z} give the Bohr "
-                     f"momentum mu*Z*alpha = {self.a:.3e} MeV, which puts the momentum grid "
-                     "outside double precision")
+            cause = ("the momentum grid is too coarse for the basis" if math.isfinite(defect)
+                     else outside)
             raise IllConditionedBasis(f"overlap deviates from the identity by {defect:.3e} "
                                       f"(limit {_OVERLAP_DEFECT_MAX:g}); {cause}")
         share = np.einsum("ij,ij->j", b, b) * (u * u)
@@ -318,7 +341,7 @@ def lowest_levels(
     One core at the Bohr scale serves both paths.  With scale_search enabled
     each target level is minimized over the log of the variational length
     parameter by golden-section search until the level stops moving: 5 to
-    21 evaluations per level in the ten-state table, at most 29 for
+    18 evaluations per level in the ten-state table, at most 29 for
     k + l + 1 up to 81.  A bracket end that holds the minimizer widens
     (_widened_min), as the S wave's lower end does from Z = 73 on.  Raises
     SupercriticalCharge when z*alpha exceeds the critical coupling of channel l.

@@ -205,7 +205,6 @@ def test_verify_at_lambda_1e145_is_the_point_coulomb_limit(capsys):
     ("verify", "--lambda-mev", "1e146"),  # raised OverflowError
     ("verify", "--lambda-mev", "1e200"),
     ("salpeter", "--states", "1S", "--basis-size", "8", "--me-mev", "1e-300"),  # was OverflowError
-    ("compare", "--basis-size", "8", "--me-mev", "1e-305"),  # 1e6 MeV/(mu*alpha) overflows
     ("compare", "--basis-size", "8", "--me-mev", "1e20", "--mp-mev", "1.5e100"),  # printed qc inf
     ("spectrum", "--states", "1S", "--me-mev", "1e200", "--mp-mev", "2e200"),  # OverflowError
     ("spectrum", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed nan
@@ -235,13 +234,17 @@ def test_overflow_is_an_error_line(capsys, argv):
 @pytest.mark.parametrize("masses, m_p", [
     (("--me-mev", "1e-260", "--mp-mev", "1.5e-60"), "1.5e-60"),
     (("--me-mev", "1e-300"), "938.2720813"),
+    (("--me-mev", "1e-305"), "938.2720813"),  # 1e6 MeV/(mu*alpha) overflows: was OverflowError
 ])
 def test_salpeter_refuses_a_basis_the_masses_overflow(capsys, masses, m_p):
-    # the basis is NaN: the line names the masses and Z, not a coarse grid
+    # the basis is NaN, or at 1e-305 the grid has no finite octave count: the line names the
+    # masses and Z, not a coarse grid
     code, out, err = run(capsys, "salpeter", "--states", "1S", "--basis-size", "8", *masses)
     m_e = masses[1]
+    refusal = ("the momentum grid has no finite octave count" if m_e == "1e-305" else
+               "overlap deviates from the identity by nan (limit 0.001)")
     assert (code, out) == (1, "")
-    assert err.startswith("error: overlap deviates from the identity by nan (limit 0.001); "
+    assert err.startswith(f"error: {refusal}; "
                           f"m_e = {m_e} MeV, m_p = {m_p} MeV and Z = 1 give the Bohr momentum")
     assert err.endswith("which puts the momentum grid outside double precision\n")
     assert err.count("\n") == 1 and "too coarse" not in err
@@ -249,10 +252,12 @@ def test_salpeter_refuses_a_basis_the_masses_overflow(capsys, masses, m_p):
 
 @pytest.mark.filterwarnings("error")
 def test_salpeter_overflow_empties_only_the_ss_cells(capsys):
-    # 1e-300 stopped with an overflow while the search built its core below the Bohr scale
+    # 1e-300 stopped with an overflow while the search built its core below the Bohr scale,
+    # and 1e-305 with one in the grid's panel count, which the per-l catch did not hold
     for masses, md5 in [(("--me-mev", "1e-260", "--mp-mev", "1.5e-60"),
                          "243e0686ddeaa450d1b0b53ead87e45f"),
-                        (("--me-mev", "1e-300"), "22713a5a270b6abee80b0bdeb08ba556")]:
+                        (("--me-mev", "1e-300"), "22713a5a270b6abee80b0bdeb08ba556"),
+                        (("--me-mev", "1e-305"), "22713a5a270b6abee80b0bdeb08ba556")]:
         code, out, err = run(capsys, "compare", "--basis-size", "8", *masses)
         assert (code, err) == (0, "")
         assert hashlib.md5(out.encode()).hexdigest() == md5

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,16 @@ def test_derived_masses(C, D):
     assert D.mu == pytest.approx(0.5107208, abs=5e-8)
     # mass ratio sanity
     assert C.m_p / C.m_e == pytest.approx(1836.152674, abs=1e-6)
+
+
+@pytest.mark.parametrize("m_e, m_p", [(0.5109989461, 938.2720813), (1e-260, 1.5e-60),
+                                      (1e-300, 1e-290)])
+def test_reduced_mass_to_two_ulp(m_e, m_p):
+    # below the normal doubles the product m_e*m_p lost digits: mu came out 1.1e-5 relative
+    # low at (1e-260, 1.5e-60), and 0 at (1e-300, 1e-290)
+    exact = Fraction(m_e) * Fraction(m_p) / (Fraction(m_e) + Fraction(m_p))
+    mu = derive(Constants(m_e=m_e, m_p=m_p)).mu
+    assert abs(Fraction(mu) - exact) <= 2 * Fraction(math.ulp(float(exact)))
 
 
 def test_derive_is_pure(C):

@@ -24,6 +24,8 @@ from hlevels import (
 from hlevels.harness import TABLE_STATES
 from hlevels.salpeter import (
     _KINETIC_SCREEN,
+    _P_MAX_MEV,
+    _P_MIN_OCTAVES,
     _SCALE_BRACKET,
     _SCALE_GUARD,
     _SCALE_RTOL,
@@ -101,7 +103,7 @@ def test_kinetic_is_the_sum_of_the_single_mass_operators(C):
     # the single square-root operators built from the exposed internals, with the
     # basis at scale a as a^(-3/2) times the unit-scale basis at u = p/a
     a = 1.0 / _bohr_length(C, 1)
-    p, w = _momentum_grid(a, cfg.quad_nodes)
+    p, w = _momentum_grid(a, cfg.quad_nodes, cfg.basis_size)
     u = p / a
     phi = _momentum_basis(u, cfg.basis_size, 0)
     electron, proton = ((phi * (w / a * u * u * _tau(p, mass))) @ phi.T
@@ -202,7 +204,7 @@ def test_core_spectrum_matches_generalized_eigh(C, l, z):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.sampled_from([16, 32, 64, 128]), st.integers(min_value=0, max_value=4),
+@given(st.sampled_from([16, 32, 64, 128]), st.integers(min_value=0, max_value=7),
        st.integers(min_value=1, max_value=87), st.floats(min_value=0.05, max_value=4.0),
        st.floats(min_value=-11.0, max_value=13.0))
 def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, far_log2):
@@ -211,11 +213,15 @@ def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, 
     count = min(4, nb // 2)
     core = _ScaledCore(l, cfg, C, z)
 
-    # oracle: the plain weighted product over every node of the grid at the Bohr scale
+    # oracle: the plain weighted product over every node of a grid at the Bohr scale whose
+    # octave panels all take quad_nodes // n_panels nodes, the most a graded panel takes
     a = 1.0 / base
-    p, w = _momentum_grid(a, cfg.quad_nodes)
-    u = p / a
-    weight = w / a * u * u
+    n_panels = _P_MIN_OCTAVES + math.ceil(math.log2(_P_MAX_MEV / a))
+    x, gauss_w = np.polynomial.legendre.leggauss(cfg.quad_nodes // n_panels)
+    edges = a * 2.0 ** np.arange(-_P_MIN_OCTAVES, n_panels - _P_MIN_OCTAVES + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x).ravel() / a
+    weight = (half[:, None] * gauss_w).ravel() / a * u * u
     phi = _momentum_basis(u, nb, l)
     overlap = (phi * weight) @ phi.T
     l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (overlap + overlap.T)))
@@ -230,13 +236,20 @@ def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, 
     # the search's first bracket, held to the Rydberg energy
     a = 1.0 / (base * bohr_multiple)
     assert np.max(np.abs(core.spectrum(a)[:count] - full_spectrum(a))) <= 1e-10 * scale
-    # the screen does not depend on the scale: it holds far past the search's 1024-fold reach
+    # neither the graded orders nor the screen depend on the scale: they hold far past the
+    # search's 1024-fold reach
     a = 1.0 / (base * 2.0**far_log2)
     full = full_spectrum(a)
     bound = 1e-10 * np.maximum(scale, np.abs(full))
     assert np.all(np.abs(core.spectrum(a)[:count] - full) <= bound)
 
-    # the kept nodes are one contiguous slice holding every node whose g u^2 is above the screen
+    # the kept nodes are one contiguous slice of the graded grid holding every node whose
+    # g u^2 is above the screen
+    a = 1.0 / base
+    p, w = _momentum_grid(a, cfg.quad_nodes, nb)
+    u = p / a
+    weight = w / a * u * u
+    phi = _momentum_basis(u, nb, l)
     assert core.kept.step is None
     np.testing.assert_array_equal(core.u, u[core.kept])
     share = np.einsum("ij,ij->j", phi, phi * weight) * u * u
@@ -251,12 +264,14 @@ def test_table_column_builds_one_core_per_l(C, monkeypatch, z):
     built, init = [], _ScaledCore.__init__
 
     def counting_init(self, l, *args):
-        built.append(l)
         init(self, l, *args)
+        built.append((l, self.u.size))
 
     monkeypatch.setattr(_ScaledCore, "__init__", counting_init)
     salpeter_levels(TABLE_STATES, SolverConfig(), C, z=z)
-    assert built == [0, 1, 2, 3, 4]
+    assert [l for l, _ in built] == [0, 1, 2, 3, 4]
+    # the graded panels: with 60 nodes in every panel the Z = 1 S-wave core kept 2546
+    assert built[0][1] < 1000
 
 
 @pytest.mark.parametrize("l", [0, 4])
@@ -282,7 +297,7 @@ def test_searched_and_fixed_solves_share_one_grid(C, monkeypatch, l):
 def test_core_build_holds_one_basis_array(C):
     # a build holds one basis-size by node-count array, B = phi sqrt(w), and no second one
     cfg = SolverConfig(basis_size=128, scale_search=False)
-    nodes = _momentum_grid(1.0 / _bohr_length(C, 1), cfg.quad_nodes)[0].size
+    nodes = _momentum_grid(1.0 / _bohr_length(C, 1), cfg.quad_nodes, cfg.basis_size)[0].size
     tracemalloc.start()
     try:
         _ScaledCore(0, cfg, C, 1)
