@@ -73,6 +73,8 @@ def _split_states(text: str) -> list[QuantumState]:
     out = [parse_state_label(part) for part in text.split(",") if part.strip()]
     if not out:
         raise ParseError(f"no state labels in {text!r}")
+    for state in out:
+        state.label  # every command prints it: an l past the letters is refused before any solve
     return out
 
 

@@ -83,16 +83,16 @@ def derive(c: Constants) -> DerivedMasses:
     """Compute the derived mass combinations from a constant set.
 
     The reduced mass is evaluated as a single product-over-sum expression,
-    or as m_e/(1 + m_e/m_p) where the product m_e*m_p falls below the normal
-    doubles and would lose digits; no intermediate subtraction enters any of
-    the four combinations.
+    or as m_e/(1 + m_e/m_p) where the product m_e*m_p is not a finite normal
+    double (it would lose digits below them and overflow above); no
+    intermediate subtraction enters any of the four combinations.
     """
     product = c.m_e * c.m_p
     return DerivedMasses(
         m_plus=c.m_p + c.m_e,
         m_minus=c.m_p - c.m_e,
         m_a=(c.m_p + c.m_e) / 2.0,
-        mu=product / (c.m_p + c.m_e) if product >= sys.float_info.min
+        mu=product / (c.m_p + c.m_e) if sys.float_info.min <= product <= sys.float_info.max
         else c.m_e / (1.0 + c.m_e / c.m_p),
     )
 

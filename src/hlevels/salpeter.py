@@ -17,18 +17,20 @@ kinetic matrix at scale a is (B sqrt(tau)) (B sqrt(tau))^T, each one
 symmetric rank-k product (BLAS syrk) and exactly symmetric.  A scale trial
 therefore costs one such product and one symmetric eigensolve.
 
-Each core builds its momentum grid at the Bohr scale 1/(mu*Z*alpha), so a
-searched and a fixed-scale solve share it.  The grid spans 40 octaves below
-the basis and reaches p = 1e6 MeV above it, one Gauss-Legendre panel per
-octave.  A panel's order follows the basis: the octaves around the Bohr
-momentum, where the basis oscillates, take up to quad_nodes // n_panels
-nodes, and the far octaves, which hold smooth power laws, take 12 (1152 of
-the 4080 nodes a uniform order gave, at basis 64 and Z = 1).  The overlap
-check uses every node.  The kinetic product does not: nodes that far out
-add less than 1e-20 of trace(K), so each core keeps only the one contiguous
-slice of nodes that carries nonrelativistic kinetic weight, a slice that
-does not depend on the scale (570 to 850 nodes for l = 4 to 0 at basis 64
-and Z = 1).  What it drops is below round-off at every scale.
+The core works in Bohr units: momenta and energies in units of mu*Z*alpha,
+lengths in Bohr lengths 1/(mu*Z*alpha).  In them the masses enter only as
+r = (m/mu)/(Z*alpha), which scaling both masses leaves alone, so every mass
+pair and Z share one grid in u = p/(mu*Z*alpha), and MeV enters once, when
+a level leaves the core.  The grid spans u in [2^-40, 2^28], one
+Gauss-Legendre panel per octave.  A panel's order follows the basis: the
+octaves around u = 1, where the basis oscillates, take up to
+quad_nodes // 68 nodes, and the far octaves, which hold smooth power laws,
+take 12 (1152 of the 4080 nodes a uniform order gave, at basis 64).  The
+overlap check uses every node.  The kinetic product does not: nodes that
+far out add less than 1e-20 of trace(K), so each core keeps only the one
+contiguous slice of nodes that carries nonrelativistic kinetic weight, a
+slice that does not depend on the scale (570 to 850 nodes for l = 4 to 0
+at basis 64 and Z = 1).  What it drops is below round-off at every scale.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ from .errors import IllConditionedBasis, ScaleSearchFailure, SupercriticalCharge
 from .quadrature import gauss_legendre
 from .spectra import EnergyLevel, QuantumState
 
-_P_MAX_MEV = 1.0e6
-_P_MIN_OCTAVES = 40  # lower grid edge at scale * 2^-40
-_SCALE_BRACKET = (0.05, 4.0)  # first scale search range, in multiples of the base scale
+_GRID_OCTAVES = range(-40, 28)  # panel k spans u = p/(mu*Z*alpha) in [2^k, 2^(k+1)]
+_SCALE_BRACKET = (0.05, 4.0)  # first scale search range, in Bohr lengths
 _SCALE_XATOL = 1.0e-5  # the search stops at a bracket 2 * _SCALE_XATOL wide in log(scale)
 _SCALE_RTOL = 3.0e-12  # ... or once its values agree to this, below the 1S noise
 _SCALE_GUARD = 0.1  # a minimizer this close to an end in log(scale) may lie past it
@@ -66,8 +67,8 @@ class _SolverConfig(NamedTuple):
 class SolverConfig(_CheckedRecord, _SolverConfig):
     """Basis size, quadrature cap, and whether to search the length scale.
 
-    quad_nodes // n_panels caps the Gauss order of each octave panel of the
-    momentum grid; the basis size sets the order below that cap.  Without
+    quad_nodes // 68 caps the Gauss order of each of the momentum grid's 68
+    octave panels; the basis size sets the order below that cap.  Without
     the search the scale is the Bohr length 1/(mu*Z*alpha).
     """
 
@@ -94,11 +95,6 @@ class SSOperatorMatrices(NamedTuple):
     potential: np.ndarray
     overlap: np.ndarray
     kinetic_binding: np.ndarray
-
-
-def _bohr_length(c: Constants, z: int) -> float:
-    """The Bohr length 1/(mu*Z*alpha) in 1/MeV: the scale of the basis without the search."""
-    return 1.0 / (derive(c).mu * (z * c.alpha))
 
 
 def _lgamma(n: np.ndarray) -> np.ndarray:
@@ -144,34 +140,34 @@ def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight=1.0) -> np.ndarr
     return out
 
 
-def _momentum_grid(a: float, total_nodes: int, basis_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on octave panels of a rational p-grid.
+def _momentum_grid(total_nodes: int, basis_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule in u = p/(mu*Z*alpha): nodes and weights.
 
-    Panel k spans u = p/a in [2^k, 2^(k+1)], or dtheta_k in theta = 2*arctan(u).
-    In theta the basis is a trigonometric polynomial of degree about
-    2*basis_size, so the panel takes _GRID_NODES_PER_RADIAN * basis_size *
-    dtheta_k nodes, at least _GRID_MIN_ORDER for the kinetic factor's branch
-    points at p = +-i*m, and at most max(8, total_nodes // n_panels).
-    Needs a finite _P_MAX_MEV / a.
+    Panel k of _GRID_OCTAVES spans u in [2^k, 2^(k+1)], or dtheta_k in
+    theta = 2*arctan(u).  In theta the basis is a trigonometric polynomial of
+    degree about 2*basis_size, so the panel takes _GRID_NODES_PER_RADIAN *
+    basis_size * dtheta_k nodes, at least _GRID_MIN_ORDER for the kinetic
+    factor's branch points at p = +-i*m, and at most max(8, total_nodes // 68).
+    No mass and no charge enters: one grid serves every input.
     """
-    n_panels = _P_MIN_OCTAVES + max(1, int(math.ceil(math.log2(_P_MAX_MEV / a))))
-    per_panel = max(8, total_nodes // n_panels)
-    octaves = np.arange(-_P_MIN_OCTAVES, n_panels - _P_MIN_OCTAVES + 1)
+    octaves = np.arange(_GRID_OCTAVES.start, _GRID_OCTAVES.stop + 1)
+    per_panel = max(8, total_nodes // len(_GRID_OCTAVES))
     span = 2.0 * np.diff(np.arctan(2.0 ** octaves))
     orders = np.clip(np.ceil(_GRID_NODES_PER_RADIAN * basis_size * span),
                      _GRID_MIN_ORDER, per_panel).astype(int)
     x, w = (np.concatenate(part) for part in zip(*map(gauss_legendre, orders.tolist())))
-    edges = a * 2.0 ** octaves
+    edges = 2.0 ** octaves
     mid = np.repeat(0.5 * (edges[1:] + edges[:-1]), orders)
     half = np.repeat(0.5 * (edges[1:] - edges[:-1]), orders)
     return mid + half * x, half * w
 
 
-def _tau(p: np.ndarray, m: float) -> np.ndarray:
-    # sqrt(p^2 + m^2) - m, evaluated without cancellation; past m = 8.9e307 the
+def _tau(x: np.ndarray, r: float) -> np.ndarray:
+    # sqrt(x^2 + r^2) - r, evaluated without cancellation: one mass's kinetic energy in units
+    # of mu*Z*alpha, at momentum x and mass r in those units; past r = 8.9e307 the
     # denominator overflows and tau is 0, below round-off beside the lighter mass's tau
     with np.errstate(over="ignore"):
-        return p * p / (m + np.hypot(p, m))
+        return x * x / (r + np.hypot(x, r))
 
 
 def _coulomb_matrix(nb: int, l: int, alpha: float, z: int) -> np.ndarray:
@@ -183,50 +179,43 @@ def _coulomb_matrix(nb: int, l: int, alpha: float, z: int) -> np.ndarray:
 
 
 class _ScaledCore:
-    """Scale-free operator parts for one orbital momentum and basis size.
+    """Operator parts for one orbital momentum and basis size, in Bohr units.
 
-    Built from one array, B = phi*sqrt(w u^2/a) on the full grid in u = p/a
-    at the inverse Bohr scale a = mu*Z*alpha (self.a), the one grid of every
-    solve, whose panel orders follow the basis size.  The overlap S = B B^T
-    is the identity analytically; a grid that aliases the basis moves it
-    away, and the variational search then finds spurious low levels, so such
-    a grid raises IllConditionedBasis, as do masses that put the grid past
-    the range of doubles: a grid with no finite octave count, or a NaN
-    basis.  The core also holds the unit-scale Coulomb matrix V1 and L^-1
-    with S = L L^T.
+    Momenta are in units of the Bohr momentum mu*Z*alpha and energies in
+    units of mu*Z*alpha, so a trial scale s puts the basis at the momentum
+    s*mu*Z*alpha, and no MeV enters the core.  It is built from one array,
+    B = phi*sqrt(w)*u on the full grid in u, which no input enters.  The
+    overlap S = B B^T is the identity analytically; a grid that aliases the
+    basis moves it away, and the variational search then finds spurious low
+    levels, so such a grid raises IllConditionedBasis.  The core also holds
+    the unit-scale Coulomb matrix V1, L^-1 with S = L L^T, and each mass in
+    units of the Bohr momentum, r = (m/mu)/(Z*alpha).  Scaling both masses
+    by one factor moves none of these.
 
     The kinetic product runs over one contiguous slice of the grid.  Node i
-    adds g_i*tau(a*u_i) to trace(K(a)), with g_i = sum_n B_ni^2.  In the
-    nonrelativistic regime tau(a*u) = (a*u)^2/(2 mu), so a node's share of the
-    trace does not depend on a; since sqrt(p^2+m^2) - m <= p^2/(2m), that
+    adds g_i*tau(s*u_i; r) to trace(K(s)), with g_i = sum_n B_ni^2.  In the
+    nonrelativistic regime tau(s*u; r) = (s*u)^2/(2r), so a node's share of
+    the trace does not depend on s; since sqrt(x^2+r^2) - r <= x^2/(2r), that
     share over-counts the relativistic tail.  The slice spans every node whose
     g_i*u_i^2 exceeds _KINETIC_SCREEN * sum(g*u^2) / basis_size.  Nodes
     outside it change no matrix element beyond round-off at any scale, and
     skipping them halves the cost of a trial or better.  The core keeps B on
-    that slice alone, and K(a) = (B sqrt(tau)) (B sqrt(tau))^T.
+    that slice alone, and K(s) = (B sqrt(tau)) (B sqrt(tau))^T.
     """
 
     def __init__(self, l, cfg: SolverConfig, c: Constants, z: int):
         if l < 0:
             raise ValueError(f"l must be >= 0, got {l}")
-        self.masses = (c.m_e, c.m_p)
-        self.a = 1.0 / _bohr_length(c, z)  # the inverse Bohr scale mu*Z*alpha
-        outside = (f"m_e = {c.m_e:.10g} MeV, m_p = {c.m_p:.10g} MeV and Z = {z} give the Bohr "
-                   f"momentum mu*Z*alpha = {self.a:.3e} MeV, which puts the momentum grid "
-                   "outside double precision")
-        if not math.isfinite(_P_MAX_MEV / self.a):
-            raise IllConditionedBasis(f"the momentum grid has no finite octave count; {outside}")
-        with np.errstate(over="ignore", invalid="ignore"):  # the overlap check refuses a NaN
-            p, w = _momentum_grid(self.a, cfg.quad_nodes, cfg.basis_size)
-            u = p / self.a
-            b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w / self.a * u * u))
-            self.overlap = b @ b.T  # one syrk: exactly symmetric
-            defect = float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size))))
-        if not defect <= _OVERLAP_DEFECT_MAX:  # NaN fails too
-            cause = ("the momentum grid is too coarse for the basis" if math.isfinite(defect)
-                     else outside)
+        mu = derive(c).mu
+        self.ratios = tuple(m / mu / (z * c.alpha) for m in (c.m_e, c.m_p))
+        u, w = _momentum_grid(cfg.quad_nodes, cfg.basis_size)
+        b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w) * u)
+        self.overlap = b @ b.T  # one syrk: exactly symmetric
+        defect = float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size))))
+        if not defect <= _OVERLAP_DEFECT_MAX:
             raise IllConditionedBasis(f"overlap deviates from the identity by {defect:.3e} "
-                                      f"(limit {_OVERLAP_DEFECT_MAX:g}); {cause}")
+                                      f"(limit {_OVERLAP_DEFECT_MAX:g}); "
+                                      "the momentum grid is too coarse for the basis")
         share = np.einsum("ij,ij->j", b, b) * (u * u)
         kept = share > _KINETIC_SCREEN * share.sum() / cfg.basis_size
         first, last = np.flatnonzero(kept)[[0, -1]]
@@ -240,22 +229,23 @@ class _ScaledCore:
         self.v1 = _coulomb_matrix(cfg.basis_size, l, c.alpha, z)
         self.l_inv = np.linalg.inv(np.linalg.cholesky(self.overlap))
 
-    def kinetic(self, a: float) -> np.ndarray:
-        """Binding kinetic matrix (rest mass removed) at inverse scale a."""
-        b = self.b * np.sqrt(sum(_tau(a * self.u, m) for m in self.masses))
+    def kinetic(self, s: float) -> np.ndarray:
+        """Binding kinetic matrix (rest mass removed) at trial scale s, in units of mu*Z*alpha."""
+        b = self.b * np.sqrt(sum(_tau(s * self.u, r) for r in self.ratios))
         return b @ b.T  # one syrk: exactly symmetric
 
-    def spectrum(self, a: float) -> np.ndarray:
-        """Ascending binding eigenvalues (MeV) at inverse scale a."""
-        h = self.kinetic(a) + a * self.v1
+    def spectrum(self, s: float) -> np.ndarray:
+        """Ascending binding eigenvalues at trial scale s, in units of mu*Z*alpha."""
+        h = self.kinetic(s) + s * self.v1
         return np.linalg.eigvalsh(self.l_inv @ h @ self.l_inv.T)
 
 
 def build_matrices(l: int, cfg: SolverConfig, c: Constants, z: int = 1) -> SSOperatorMatrices:
     """Potential, overlap and binding kinetic matrices for orbital momentum l at the Bohr scale."""
     core = _ScaledCore(l, cfg, c, z)
-    return SSOperatorMatrices(potential=core.a * core.v1, overlap=core.overlap,
-                              kinetic_binding=core.kinetic(core.a))
+    a = derive(c).mu * (z * c.alpha)  # the Bohr momentum, and the core's energy unit, in MeV
+    return SSOperatorMatrices(potential=a * core.v1, overlap=core.overlap,
+                              kinetic_binding=a * core.kinetic(1.0))
 
 
 def _critical_coupling(l: int) -> float:
@@ -322,7 +312,7 @@ def _widened_min(f, lo: float, hi: float, label: str):
         if moves[edge] == _SCALE_WIDENINGS:
             raise ScaleSearchFailure(
                 f"{label}: the scale search still ends on its {('lower', 'upper')[edge]} edge, "
-                f"{math.exp(x):.6g} 1/MeV, after widening it "
+                f"{math.exp(x):.6g} Bohr lengths, after widening it "
                 f"{_SCALE_WIDEN**_SCALE_WIDENINGS:g}-fold"
             )
         moves[edge] += 1
@@ -338,9 +328,11 @@ def lowest_levels(
 ) -> list[EnergyLevel]:
     """The lowest `count` binding energies for orbital momentum l, in eV.
 
-    One core at the Bohr scale serves both paths.  With scale_search enabled
-    each target level is minimized over the log of the variational length
-    parameter by golden-section search until the level stops moving: 5 to
+    One core in Bohr units serves both paths, and the levels leave it in
+    units of mu*Z*alpha, converted to eV once.  Without the search each level
+    is the core's at the Bohr length.  With scale_search enabled each target
+    level is minimized over the log of the variational length, in Bohr
+    lengths, by golden-section search until the level stops moving: 5 to
     18 evaluations per level in the ten-state table, at most 29 for
     k + l + 1 up to 81.  A bracket end that holds the minimizer widens
     (_widened_min), as the S wave's lower end does from Z = 73 on.  Raises
@@ -360,21 +352,25 @@ def lowest_levels(
         )
     core = _ScaledCore(l, cfg, c, z)
     if not cfg.scale_search:
-        values = core.spectrum(core.a)[:count]
+        values = core.spectrum(1.0)[:count]
     else:
-        base, (lo, hi) = _bohr_length(c, z), _SCALE_BRACKET
-        # optimal length scales like N/(mu*Z*alpha): widen the bracket with index
+        lo, hi = _SCALE_BRACKET
+        # the optimal length grows like N Bohr lengths: widen the bracket with index
         values = [
             _widened_min(
-                lambda log_scale: core.spectrum(math.exp(-log_scale))[index],
-                math.log(base * lo),
-                math.log(base * hi * (index + l + 1)),
+                lambda log_length: core.spectrum(math.exp(-log_length))[index],
+                math.log(lo),
+                math.log(hi * (index + l + 1)),
                 QuantumState(k=index, l=l).label,
             )[1]
             for index in range(count)
         ]
+    # in this order no intermediate leaves the normal doubles for masses 2^-1020 to 2^1013
+    # times the CODATA ones
+    mu = derive(c).mu
     return [
-        EnergyLevel(value=float(v) * c.ev_per_mev, model="salpeter", state=QuantumState(k=i, l=l))
+        EnergyLevel(value=float(v) * c.ev_per_mev * mu * za, model="salpeter",
+                    state=QuantumState(k=i, l=l))
         for i, v in enumerate(values)
     ]
 

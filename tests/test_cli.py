@@ -20,10 +20,11 @@ from hlevels import (
     SolverConfig,
     cli,
     default_constants,
+    derive,
     salpeter_levels,
 )
 from hlevels.cli import BLAS_THREAD_VARIABLES, main, parse_state_label
-from hlevels.salpeter import _SCALE_BRACKET, _SCALE_RTOL, _bohr_length
+from hlevels.salpeter import _SCALE_BRACKET, _SCALE_RTOL
 from hlevels.spectra import SPECTROSCOPIC_LETTERS
 
 
@@ -204,7 +205,6 @@ def test_verify_at_lambda_1e145_is_the_point_coulomb_limit(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--lambda-mev", "1e146"),  # raised OverflowError
     ("verify", "--lambda-mev", "1e200"),
-    ("salpeter", "--states", "1S", "--basis-size", "8", "--me-mev", "1e-300"),  # was OverflowError
     ("compare", "--basis-size", "8", "--me-mev", "1e20", "--mp-mev", "1.5e100"),  # printed qc inf
     ("spectrum", "--states", "1S", "--me-mev", "1e200", "--mp-mev", "2e200"),  # OverflowError
     ("spectrum", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed nan
@@ -218,51 +218,51 @@ def test_verify_at_lambda_1e145_is_the_point_coulomb_limit(capsys):
     ("widths", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed nan
     ("widths", "--states", "1S", "--me-mev", "1e-300", "--mp-mev", "1e-160"),  # printed nan
     ("constants", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed inf and nan
-    ("salpeter", "--states", "1S", "--basis-size", "8", "--me-mev", "1e-260",
-     "--mp-mev", "1.5e-60"),  # printed six RuntimeWarning lines first
 ])
 def test_overflow_is_an_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    # an overflow names the range of doubles; a refused mass or basis names itself
+    # an overflow names the range of doubles; a refused mass names itself
     assert err.endswith(": the inputs exceed the range of double precision\n") or err.startswith(
-        ("error: derived mass", "error: overlap deviates")), err
+        "error: derived mass"), err
 
 
+# masses the Salpeter grid that ended at p = 1e6 MeV could not take, each with a k that puts
+# the masses times 2^-k well inside it
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("masses, m_p", [
-    (("--me-mev", "1e-260", "--mp-mev", "1.5e-60"), "1.5e-60"),
-    (("--me-mev", "1e-300"), "938.2720813"),
-    (("--me-mev", "1e-305"), "938.2720813"),  # 1e6 MeV/(mu*alpha) overflows: was OverflowError
-])
-def test_salpeter_refuses_a_basis_the_masses_overflow(capsys, masses, m_p):
-    # the basis is NaN, or at 1e-305 the grid has no finite octave count: the line names the
-    # masses and Z, not a coarse grid
-    code, out, err = run(capsys, "salpeter", "--states", "1S", "--basis-size", "8", *masses)
-    m_e = masses[1]
-    refusal = ("the momentum grid has no finite octave count" if m_e == "1e-305" else
-               "overlap deviates from the identity by nan (limit 0.001)")
-    assert (code, out) == (1, "")
-    assert err.startswith(f"error: {refusal}; "
-                          f"m_e = {m_e} MeV, m_p = {m_p} MeV and Z = 1 give the Bohr momentum")
-    assert err.endswith("which puts the momentum grid outside double precision\n")
-    assert err.count("\n") == 1 and "too coarse" not in err
-
-
-@pytest.mark.filterwarnings("error")
-def test_salpeter_overflow_empties_only_the_ss_cells(capsys):
-    # 1e-300 stopped with an overflow while the search built its core below the Bohr scale,
-    # and 1e-305 with one in the grid's panel count, which the per-l catch did not hold
-    for masses, md5 in [(("--me-mev", "1e-260", "--mp-mev", "1.5e-60"),
-                         "243e0686ddeaa450d1b0b53ead87e45f"),
-                        (("--me-mev", "1e-300"), "22713a5a270b6abee80b0bdeb08ba556"),
-                        (("--me-mev", "1e-305"), "22713a5a270b6abee80b0bdeb08ba556")]:
-        code, out, err = run(capsys, "compare", "--basis-size", "8", *masses)
+@pytest.mark.parametrize("m_e, m_p, k, compare_md5", [
+    # a NaN basis: salpeter refused, compare emptied its SS cells
+    ("1e-260", "1.5e-60", -864, "948da1347658a15e6f73a643bef6e7ec"),
+    ("1e-300", "938.2720813", -990, "fcb965bd770c49ca5ad35c80ddaf389c"),
+    # the grid's octave count overflowed: refused as at 1e-300
+    ("1e-305", "938.2720813", -1010, "fcb965bd770c49ca5ad35c80ddaf389c"),
+    # CODATA times 2^20: the search ran past the top of the grid, 2S printed 6166 eV too deep
+    ("535821.2309057536", "983849585.9212288", 20, None),
+    # m_e*m_p overflowed in mu: Constants refused the masses
+    ("1e200", "1e201", 664, None),
+], ids=["1e-260-1.5e-60", "1e-300", "1e-305", "codata-x2^20", "1e200-1e201"])
+def test_salpeter_levels_scale_with_the_masses(capsys, m_e, m_p, k, compare_md5):
+    # the Hamiltonian is homogeneous in the masses, so each level is 2^k times the level at
+    # the masses times 2^-k, to the search noise
+    def levels(*masses):
+        code, out, err = run(capsys, "salpeter", "--states", "1S,2S", "--format", "json",
+                             "--me-mev", masses[0], "--mp-mev", masses[1])
         assert (code, err) == (0, "")
-        assert hashlib.md5(out.encode()).hexdigest() == md5
+        return _printed_levels(out, "json")
+
+    got = levels(m_e, m_p)
+    reference = levels(*(repr(math.ldexp(float(m), -k)) for m in (m_e, m_p)))
+    assert list(got) == list(reference) == ["1S", "2S"]
+    for state, value in reference.items():
+        assert abs(got[state] - math.ldexp(value, k)) <= 1e-11 * abs(math.ldexp(value, k)), state
+    if compare_md5 is not None:  # compare fills its SS cells, where it emptied them
+        code, out, err = run(capsys, "compare", "--basis-size", "8", "--me-mev", m_e,
+                             "--mp-mev", m_p)
+        assert (code, err) == (0, "")
+        assert hashlib.md5(out.encode()).hexdigest() == compare_md5
         flags = [line.split()[-1] for line in out.splitlines()[12:]]
-        assert len(flags) == 10 and all("ss=UNAVAILABLE" in f for f in flags)
+        assert len(flags) == 10 and not any("ss=UNAVAILABLE" in f for f in flags)
 
 
 _MASS_MEV = st.floats(min_value=1e-300, max_value=1e308, allow_subnormal=False)
@@ -456,6 +456,14 @@ def test_compare_past_v_1_empties_the_quasiclassical_cells(capsys, tmp_path):
     assert accuracies["2S"]["flags"]["m_im"] == "MISMATCH"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("l", [8, 17, 40])
+def test_a_state_past_the_letters_is_refused_before_the_solve(capsys, l):
+    # from l = 17 the basis overflows on the top octaves of the grid: no solve, no warning
+    code, out, err = run(capsys, "salpeter", "--states", f"1S,0:{l}", "--basis-size", "8")
+    assert (code, out, err) == (1, "", f"error: no spectroscopic letter for l={l}\n")
+
+
 def test_cli_reports_the_grid_a_basis_needs(capsys):
     code, out, err = run(capsys, "salpeter", "--basis-size", "3000", "--states", "1S")
     assert (code, out) == (1, "")
@@ -466,10 +474,11 @@ def test_salpeter_refuses_a_level_past_the_widest_bracket(capsys, monkeypatch):
     # a first bracket 3700-fold up, in units of 1e6 1/MeV instead of the Bohr length, puts
     # 1S past its 1024-fold widening; the search that did not widen printed 1S = -4.578 eV
     c = default_constants()
-    factor = 1e6 / _bohr_length(c, 1)
+    factor = 1e6 * derive(c).mu * c.alpha
     lo, hi = _SCALE_BRACKET
     monkeypatch.setattr("hlevels.salpeter._SCALE_BRACKET", (lo * factor, hi * factor))
-    message = "1S: the scale search still ends on its lower edge, 48.8314 1/MeV, after widening"
+    message = ("1S: the scale search still ends on its lower edge, 0.18199 Bohr lengths, "
+               "after widening")
     with pytest.raises(ScaleSearchFailure, match=f"^{message} it 1024-fold$"):
         salpeter_levels([QuantumState(0, 0)], SolverConfig(), c)
     code, out, err = run(capsys, "salpeter", "--states", "1S")

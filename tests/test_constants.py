@@ -28,9 +28,8 @@ def test_validation_rejects_bad_sets():
         Constants(m_e=2.0, m_p=1.0)
     with pytest.raises(ValueError):
         Constants(hbar_c=float("nan"))
-    for m_e, m_p, name in ((1e308, 1.5e308, "m_plus"), (1e200, 2e200, "mu")):
-        with pytest.raises(ValueError, match=f"^derived mass {name} of m_e = .* is not finite"):
-            Constants(m_e=m_e, m_p=m_p)
+    with pytest.raises(ValueError, match="^derived mass m_plus of m_e = .* is not finite"):
+        Constants(m_e=1e308, m_p=1.5e308)
 
 
 def test_derived_masses(C, D):
@@ -44,10 +43,11 @@ def test_derived_masses(C, D):
 
 
 @pytest.mark.parametrize("m_e, m_p", [(0.5109989461, 938.2720813), (1e-260, 1.5e-60),
-                                      (1e-300, 1e-290)])
+                                      (1e-300, 1e-290), (1e200, 2e200)])
 def test_reduced_mass_to_two_ulp(m_e, m_p):
     # below the normal doubles the product m_e*m_p lost digits: mu came out 1.1e-5 relative
-    # low at (1e-260, 1.5e-60), and 0 at (1e-300, 1e-290)
+    # low at (1e-260, 1.5e-60), and 0 at (1e-300, 1e-290); above them it overflowed, and
+    # (1e200, 2e200) was refused for a mu of inf
     exact = Fraction(m_e) * Fraction(m_p) / (Fraction(m_e) + Fraction(m_p))
     mu = derive(Constants(m_e=m_e, m_p=m_p)).mu
     assert abs(Fraction(mu) - exact) <= 2 * Fraction(math.ulp(float(exact)))

@@ -24,8 +24,6 @@ from hlevels import (
 from hlevels.harness import TABLE_STATES
 from hlevels.salpeter import (
     _KINETIC_SCREEN,
-    _P_MAX_MEV,
-    _P_MIN_OCTAVES,
     _SCALE_BRACKET,
     _SCALE_GUARD,
     _SCALE_RTOL,
@@ -34,7 +32,6 @@ from hlevels.salpeter import (
     _SCALE_XATOL,
     _ScaledCore,
     _basis_norms,
-    _bohr_length,
     _coulomb_matrix,
     _golden_section_min,
     _momentum_basis,
@@ -97,16 +94,16 @@ def test_free_threshold_with_tiny_coupling(D):
     assert kinetic[0] >= -D.m_plus * 1e-10
 
 
-def test_kinetic_is_the_sum_of_the_single_mass_operators(C):
+def test_kinetic_is_the_sum_of_the_single_mass_operators(C, D):
     cfg = small_cfg()
     m = build_matrices(0, cfg, C)
-    # the single square-root operators built from the exposed internals, with the
-    # basis at scale a as a^(-3/2) times the unit-scale basis at u = p/a
-    a = 1.0 / _bohr_length(C, 1)
-    p, w = _momentum_grid(a, cfg.quad_nodes, cfg.basis_size)
-    u = p / a
+    # the single square-root operators in MeV built from the exposed internals, with the
+    # basis at the Bohr momentum a as a^(-3/2) times the unit-scale basis at u = p/a
+    a = D.mu * C.alpha
+    u, w = _momentum_grid(cfg.quad_nodes, cfg.basis_size)
+    p = a * u
     phi = _momentum_basis(u, cfg.basis_size, 0)
-    electron, proton = ((phi * (w / a * u * u * _tau(p, mass))) @ phi.T
+    electron, proton = ((phi * (w * u * u * _tau(p, mass))) @ phi.T
                         for mass in (C.m_e, C.m_p))
     assert np.allclose(m.kinetic_binding, electron + proton, rtol=1e-12, atol=1e-12)
 
@@ -191,15 +188,16 @@ def test_salpeter_levels_fills_lower_levels(C):
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=87))
-def test_core_spectrum_matches_generalized_eigh(C, l, z):
-    # the Bohr scale follows Z, so the sweep over Z sweeps the scale
+def test_core_spectrum_matches_generalized_eigh(C, D, l, z):
+    # the Bohr scale follows Z, so the sweep over Z sweeps the scale; the core's energy unit
+    # is the Bohr momentum mu*Z*alpha, and build_matrices returns MeV
     cfg = small_cfg()
     m = build_matrices(l, cfg, C, z)
     reference = eigh(m.kinetic_binding + m.potential, m.overlap, eigvals_only=True)
     core = _ScaledCore(l, cfg, C, z)
-    got = core.spectrum(core.a)
+    got = D.mu * (z * C.alpha) * core.spectrum(1.0)
     # eigenvalues near zero are held to 1e-10 of the Rydberg energy instead
-    rydberg = derive(C).mu * (z * C.alpha) ** 2 / 2.0
+    rydberg = D.mu * (z * C.alpha) ** 2 / 2.0
     np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-10 * rydberg)
 
 
@@ -209,46 +207,43 @@ def test_core_spectrum_matches_generalized_eigh(C, l, z):
        st.floats(min_value=-11.0, max_value=13.0))
 def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, far_log2):
     cfg = SolverConfig(basis_size=nb)
-    base = _bohr_length(C, z)
     count = min(4, nb // 2)
     core = _ScaledCore(l, cfg, C, z)
 
-    # oracle: the plain weighted product over every node of a grid at the Bohr scale whose
-    # octave panels all take quad_nodes // n_panels nodes, the most a graded panel takes
-    a = 1.0 / base
-    n_panels = _P_MIN_OCTAVES + math.ceil(math.log2(_P_MAX_MEV / a))
-    x, gauss_w = np.polynomial.legendre.leggauss(cfg.quad_nodes // n_panels)
-    edges = a * 2.0 ** np.arange(-_P_MIN_OCTAVES, n_panels - _P_MIN_OCTAVES + 1)
+    # oracle: the plain weighted product over every node of a grid in u = p/(mu*Z*alpha)
+    # whose 68 octave panels, u in [2^-40, 2^28], all take quad_nodes // 68 nodes, the
+    # most a graded panel takes; energies in units of mu*Z*alpha
+    x, gauss_w = np.polynomial.legendre.leggauss(cfg.quad_nodes // 68)
+    edges = 2.0 ** np.arange(-40, 29)
     half = 0.5 * (edges[1:] - edges[:-1])
-    u = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x).ravel() / a
-    weight = (half[:, None] * gauss_w).ravel() / a * u * u
+    u = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x).ravel()
+    weight = (half[:, None] * gauss_w).ravel() * u * u
     phi = _momentum_basis(u, nb, l)
     overlap = (phi * weight) @ phi.T
     l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (overlap + overlap.T)))
     v1 = _coulomb_matrix(nb, l, C.alpha, z)
+    bohr_masses = [m / D.mu / (z * C.alpha) for m in (C.m_e, C.m_p)]
 
-    def full_spectrum(a):
-        tau = sum(_tau(a * u, m) for m in (C.m_e, C.m_p))
-        h = (phi * (weight * tau)) @ phi.T + a * v1
+    def full_spectrum(s):
+        tau = sum(_tau(s * u, r) for r in bohr_masses)
+        h = (phi * (weight * tau)) @ phi.T + s * v1
         return np.linalg.eigvalsh(l_inv @ h @ l_inv.T)[:count]
 
-    scale = z * z * D.mu * C.alpha**2 / 2.0  # Z^2 Ry
+    scale = z * C.alpha / 2.0  # Z^2 Ry in units of mu*Z*alpha
     # the search's first bracket, held to the Rydberg energy
-    a = 1.0 / (base * bohr_multiple)
-    assert np.max(np.abs(core.spectrum(a)[:count] - full_spectrum(a))) <= 1e-10 * scale
+    s = 1.0 / bohr_multiple
+    assert np.max(np.abs(core.spectrum(s)[:count] - full_spectrum(s))) <= 1e-10 * scale
     # neither the graded orders nor the screen depend on the scale: they hold far past the
     # search's 1024-fold reach
-    a = 1.0 / (base * 2.0**far_log2)
-    full = full_spectrum(a)
+    s = 2.0**-far_log2
+    full = full_spectrum(s)
     bound = 1e-10 * np.maximum(scale, np.abs(full))
-    assert np.all(np.abs(core.spectrum(a)[:count] - full) <= bound)
+    assert np.all(np.abs(core.spectrum(s)[:count] - full) <= bound)
 
     # the kept nodes are one contiguous slice of the graded grid holding every node whose
     # g u^2 is above the screen
-    a = 1.0 / base
-    p, w = _momentum_grid(a, cfg.quad_nodes, nb)
-    u = p / a
-    weight = w / a * u * u
+    u, w = _momentum_grid(cfg.quad_nodes, nb)
+    weight = w * u * u
     phi = _momentum_basis(u, nb, l)
     assert core.kept.step is None
     np.testing.assert_array_equal(core.u, u[core.kept])
@@ -288,7 +283,7 @@ def test_searched_and_fixed_solves_share_one_grid(C, monkeypatch, l):
     for scale_search in (True, False):
         lowest_levels(l, 1, SolverConfig(basis_size=128, scale_search=scale_search), C)
     searched, fixed = built
-    assert searched.a == fixed.a == 1.0 / _bohr_length(C, 1)
+    assert searched.ratios == fixed.ratios
     for name in ("u", "b", "overlap"):
         assert getattr(searched, name).tobytes() == getattr(fixed, name).tobytes(), name
     assert np.max(np.abs(fixed.overlap - np.eye(128))) < 1e-7
@@ -297,7 +292,7 @@ def test_searched_and_fixed_solves_share_one_grid(C, monkeypatch, l):
 def test_core_build_holds_one_basis_array(C):
     # a build holds one basis-size by node-count array, B = phi sqrt(w), and no second one
     cfg = SolverConfig(basis_size=128, scale_search=False)
-    nodes = _momentum_grid(1.0 / _bohr_length(C, 1), cfg.quad_nodes, cfg.basis_size)[0].size
+    nodes = _momentum_grid(cfg.quad_nodes, cfg.basis_size)[0].size
     tracemalloc.start()
     try:
         _ScaledCore(0, cfg, C, 1)
@@ -305,6 +300,54 @@ def test_core_build_holds_one_basis_array(C):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * cfg.basis_size * nodes * 8
+
+
+def _scaled(c, k):
+    """The constant set with both masses times 2^k."""
+    return c._replace(m_e=math.ldexp(c.m_e, k), m_p=math.ldexp(c.m_p, k))
+
+
+@pytest.mark.parametrize("l", [0, 4])
+def test_core_grid_and_basis_are_the_same_for_every_input(C, l):
+    # in Bohr units no mass and no charge enters the grid or the basis; the grid that ended
+    # at p = 1e6 MeV gave Z = 87 and CODATA x 2^20 other panels, and (1e-260, 1.5e-60) a NaN basis
+    cfg = SolverConfig()
+    reference = _ScaledCore(l, cfg, C, 1)
+    for c, z in [(C, 87), (_scaled(C, 20), 1), (C._replace(m_e=1e-260, m_p=1.5e-60), 1)]:
+        core = _ScaledCore(l, cfg, c, z)
+        for name in ("u", "b", "overlap"):
+            assert getattr(core, name).tobytes() == getattr(reference, name).tobytes(), (z, name)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=-1020, max_value=1013), st.integers(min_value=0, max_value=4),
+       st.booleans())
+@example(-1020, 0, True)
+@example(1013, 0, True)
+@example(514, 4, False)
+def test_levels_scale_with_the_masses(C, k, l, scale_search):
+    # the Hamiltonian is homogeneous in the masses: both times 2^k put every level at 2^k
+    # times its value.  While m_e*m_p is a normal double mu scales exactly, so the core sees
+    # the same inputs and the levels agree to the bit; past it mu takes its quotient form
+    # and may differ by an ulp, which the search can carry to its value stop
+    cfg = small_cfg(scale_search=scale_search)
+    expected = [math.ldexp(level.value, k) for level in lowest_levels(l, 3, cfg, C)]
+    got = [level.value for level in lowest_levels(l, 3, cfg, _scaled(C, k))]
+    if abs(k) <= 500:
+        assert got == expected
+    else:
+        for value, bound in zip(got, expected):
+            assert abs(value - bound) <= 1e-11 * abs(bound), (value, bound)
+
+
+@pytest.mark.parametrize("k", [20, 21, -100])
+def test_table_column_scales_with_the_masses(C, k):
+    # the grid that ended at p = 1e6 MeV printed 2S 1.7e-3 relative too deep at 2^20 and
+    # 1S 1.3e-2 too deep at 2^21, where the search's trial scales ran past its top, and it
+    # refused 1G at 2^-100 as too coarse for the basis
+    expected = {state: math.ldexp(value, k)
+                for state, value in salpeter_levels(TABLE_STATES, SolverConfig(), C).items()}
+    assert salpeter_levels(TABLE_STATES, SolverConfig(), _scaled(C, k)) == expected
 
 
 def test_basis_256_is_ill_conditioned(C):
@@ -315,11 +358,9 @@ def test_basis_256_is_ill_conditioned(C):
 
 @pytest.mark.parametrize("z", [1, 2, 20, 40])
 def test_scale_search_is_no_worse_than_the_bohr_scale(C, D, z):
-    # the bracket starts in units of 1/(mu*Z*alpha) and widens off an end that holds
+    # the bracket starts in Bohr lengths 1/(mu*Z*alpha) and widens off an end that holds
     # the optimum, as the S wave's lower end does from Z = 73 on; the sweep below
     # covers Z up to 87
-    bohr = 1.0 / (D.mu * z * C.alpha)
-    assert _bohr_length(C, z) == pytest.approx(bohr, rel=1e-15)
     searched = lowest_levels(0, 1, SolverConfig(), C, z=z)[0].value
     fixed = lowest_levels(0, 1, SolverConfig(scale_search=False), C, z=z)[0].value
     assert searched <= fixed
@@ -363,27 +404,27 @@ def _golden_section_evaluations(lo, hi):
 
 
 @pytest.mark.parametrize("l", range(5))
-def test_scale_search_agrees_with_scipy_bounded(C, l):
+def test_scale_search_agrees_with_scipy_bounded(C, D, l):
     # scipy's bounded Brent search on the same objective is the oracle; the two
     # stop at different points, so they agree to the search noise, not to the bit
     cfg = SolverConfig()
-    base = _bohr_length(C, 1)
     lo, hi = _SCALE_BRACKET
     core = _ScaledCore(l, cfg, C, 1)
     calls = []
 
-    def objective(log_scale):
-        calls.append(log_scale)
-        return core.spectrum(math.exp(-log_scale))[0]
+    def objective(log_length):
+        calls.append(log_length)
+        return core.spectrum(math.exp(-log_length))[0]
 
-    bounds = (math.log(base * lo), math.log(base * hi * (l + 1)))
+    # the objective is in units of mu*alpha over the log of the length in Bohr lengths
+    bounds = (math.log(lo), math.log(hi * (l + 1)))
     _, fx = _golden_section_min(objective, *bounds)
     # the values stop the search first here; the bracket width bounds the count
     assert len(calls) <= _golden_section_evaluations(*bounds)
     searched = lowest_levels(l, 1, cfg, C)[0].value
-    assert searched == float(fx) * C.ev_per_mev
+    assert searched == float(fx) * C.ev_per_mev * D.mu * C.alpha
     oracle = minimize_scalar(objective, bounds=bounds, method="bounded").fun
-    assert abs(searched - float(oracle) * C.ev_per_mev) <= 1e-10
+    assert abs(searched - float(oracle) * C.ev_per_mev * D.mu * C.alpha) <= 1e-10
 
 
 @pytest.mark.parametrize("z", [1, 10, 60, 87])
@@ -536,10 +577,9 @@ def test_table_searches_do_not_widen(C, monkeypatch):
     values = salpeter_levels(TABLE_STATES, SolverConfig(), C)
     assert len(searches) == len(values)
     lo, hi = _SCALE_BRACKET
-    base = _bohr_length(C, 1)
     for (lo_x, x, hi_x), state in zip(searches.values(), values):
-        assert lo_x == math.log(base * lo)
-        assert hi_x == math.log(base * hi * (state.k + state.l + 1))
+        assert lo_x == math.log(lo)
+        assert hi_x == math.log(hi * (state.k + state.l + 1))
         assert min(x - lo_x, hi_x - x) > _SCALE_GUARD
 
 
