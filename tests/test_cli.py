@@ -205,6 +205,10 @@ def test_verify_at_lambda_1e145_is_the_point_coulomb_limit(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--lambda-mev", "1e146"),  # raised OverflowError
     ("verify", "--lambda-mev", "1e200"),
+    ("salpeter", "--states", "1S", "--basis-size", "8", "--me-mev", "8.97089157544774e+304",
+     "--mp-mev", "1.6471926554550651e+308"),  # CODATA x 2^1014: v*ev_per_mev*mu overflows
+    ("compare", "--basis-size", "8", "--me-mev", "8.97089157544774e+304",
+     "--mp-mev", "1.6471926554550651e+308"),
     ("compare", "--basis-size", "8", "--me-mev", "1e20", "--mp-mev", "1.5e100"),  # printed qc inf
     ("spectrum", "--states", "1S", "--me-mev", "1e200", "--mp-mev", "2e200"),  # OverflowError
     ("spectrum", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed nan
@@ -231,18 +235,15 @@ def test_overflow_is_an_error_line(capsys, argv):
 # masses the Salpeter grid that ended at p = 1e6 MeV could not take, each with a k that puts
 # the masses times 2^-k well inside it
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("m_e, m_p, k, compare_md5", [
-    # a NaN basis: salpeter refused, compare emptied its SS cells
-    ("1e-260", "1.5e-60", -864, "948da1347658a15e6f73a643bef6e7ec"),
-    ("1e-300", "938.2720813", -990, "fcb965bd770c49ca5ad35c80ddaf389c"),
-    # the grid's octave count overflowed: refused as at 1e-300
-    ("1e-305", "938.2720813", -1010, "fcb965bd770c49ca5ad35c80ddaf389c"),
+@pytest.mark.parametrize("m_e, m_p, k", [
+    ("1e-260", "1.5e-60", -864),  # a NaN basis: salpeter refused
+    ("1e-300", "938.2720813", -990),
+    ("1e-305", "938.2720813", -1010),  # the grid's octave count overflowed: refused as at 1e-300
     # CODATA times 2^20: the search ran past the top of the grid, 2S printed 6166 eV too deep
-    ("535821.2309057536", "983849585.9212288", 20, None),
-    # m_e*m_p overflowed in mu: Constants refused the masses
-    ("1e200", "1e201", 664, None),
+    ("535821.2309057536", "983849585.9212288", 20),
+    ("1e200", "1e201", 664),  # m_e*m_p overflowed in mu: Constants refused the masses
 ], ids=["1e-260-1.5e-60", "1e-300", "1e-305", "codata-x2^20", "1e200-1e201"])
-def test_salpeter_levels_scale_with_the_masses(capsys, m_e, m_p, k, compare_md5):
+def test_salpeter_levels_scale_with_the_masses(capsys, m_e, m_p, k):
     # the Hamiltonian is homogeneous in the masses, so each level is 2^k times the level at
     # the masses times 2^-k, to the search noise
     def levels(*masses):
@@ -256,11 +257,18 @@ def test_salpeter_levels_scale_with_the_masses(capsys, m_e, m_p, k, compare_md5)
     assert list(got) == list(reference) == ["1S", "2S"]
     for state, value in reference.items():
         assert abs(got[state] - math.ldexp(value, k)) <= 1e-11 * abs(math.ldexp(value, k)), state
-    if compare_md5 is not None:  # compare fills its SS cells, where it emptied them
-        code, out, err = run(capsys, "compare", "--basis-size", "8", "--me-mev", m_e,
-                             "--mp-mev", m_p)
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_fills_the_ss_cells_at_masses_the_grid_refused(capsys):
+    # the NaN basis at these masses emptied every SS cell; the Bohr-unit core solves them
+    for masses, md5 in [(("--me-mev", "1e-260", "--mp-mev", "1.5e-60"),
+                         "948da1347658a15e6f73a643bef6e7ec"),
+                        (("--me-mev", "1e-300"), "fcb965bd770c49ca5ad35c80ddaf389c"),
+                        (("--me-mev", "1e-305"), "fcb965bd770c49ca5ad35c80ddaf389c")]:
+        code, out, err = run(capsys, "compare", "--basis-size", "8", *masses)
         assert (code, err) == (0, "")
-        assert hashlib.md5(out.encode()).hexdigest() == compare_md5
+        assert hashlib.md5(out.encode()).hexdigest() == md5
         flags = [line.split()[-1] for line in out.splitlines()[12:]]
         assert len(flags) == 10 and not any("ss=UNAVAILABLE" in f for f in flags)
 
