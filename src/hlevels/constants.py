@@ -7,6 +7,7 @@ converted to eV only at the reporting boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -20,37 +21,33 @@ _M_P_MEV = 938.2720813
 _HBAR_C_MEV_FM = 197.3269788
 
 
-# The records are NamedTuples.  A NamedTuple class cannot define __new__, so a
-# record that checks its fields subclasses a bare field tuple, checks them in
-# its own __new__ and takes _CheckedRecord as its first base.
-class _CheckedRecord:
-    """Base whose _make, and so _replace, builds the record through its __new__.
-
-    It passes what pickle passes (__getnewargs__), so computed fields are computed again.
+def _checked(cls):
+    """Wrap a NamedTuple's generated __new__ and _make, which its body may not define, to
+    call its _check(self): the constructor and unpickling use __new__, _replace uses _make.
     """
+    def checking(build):
+        @functools.wraps(build)
+        def checked(*args, **kwargs):
+            record = build(*args, **kwargs)
+            record._check()
+            return record
+        return checked
+    cls.__new__ = checking(cls.__new__)
+    cls._make = classmethod(checking(cls._make.__func__))
+    return cls
 
-    __slots__ = ()
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*tuple.__new__(cls, iterable).__getnewargs__())
+@_checked
+class Constants(NamedTuple):
+    """Fine-structure constant, particle masses (MeV) and hbar*c (MeV*fm)."""
 
-
-class _Constants(NamedTuple):
     alpha: float = _ALPHA
     m_e: float = _M_E_MEV
     m_p: float = _M_P_MEV
     hbar_c: float = _HBAR_C_MEV_FM
     ev_per_mev: float = EV_PER_MEV
 
-
-class Constants(_CheckedRecord, _Constants):
-    """Fine-structure constant, particle masses (MeV) and hbar*c (MeV*fm)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha out of range: {self.alpha}")
         if not (0.0 < self.m_e < self.m_p):
@@ -62,7 +59,6 @@ class Constants(_CheckedRecord, _Constants):
             if not math.isfinite(v):
                 raise ValueError(f"derived mass {name} of m_e = {self.m_e}, m_p = {self.m_p} "
                                  f"is not finite: {v}")
-        return self
 
 
 class DerivedMasses(NamedTuple):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .constants import Constants, _CheckedRecord, default_constants, derive
+from .constants import Constants, _checked, default_constants, derive
 from .errors import DuplicateState, HlevelsError, ParseError
 from .salpeter import SolverConfig, salpeter_levels
 from .spectra import (
@@ -58,22 +58,17 @@ _PUBLISHED_M_IM = (3.421587, 1.710793, 1.140530, 0.855397, 0.684317,
 _EPS_MATCH_RTOL = 0.02
 
 
-class _ReferenceDataset(NamedTuple):
+@_checked
+class ReferenceDataset(NamedTuple):
+    """Map from quantum state to reference binding energy (eV)."""
+
     entries: dict
     source: str = "builtin"
 
-
-class ReferenceDataset(_CheckedRecord, _ReferenceDataset):
-    """Map from quantum state to reference binding energy (eV)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for state, value in self.entries.items():
             if value >= 0.0:
                 raise ValueError(f"reference energy for {state.label} must be negative")
-        return self
 
 
 class Environment(NamedTuple):

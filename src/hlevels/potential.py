@@ -10,31 +10,26 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .constants import Constants, _CheckedRecord
+from .constants import Constants, _checked
 
 DEFAULT_LAMBDA_MEV = 840.0
 
 
-class _PotentialParams(NamedTuple):
+@_checked
+class PotentialParams(NamedTuple):
+    """Coupling alpha, form-factor scale lambda (MeV) and nuclear charge z."""
+
     alpha: float
     lam: float = DEFAULT_LAMBDA_MEV
     z: int = 1
 
-
-class PotentialParams(_CheckedRecord, _PotentialParams):
-    """Coupling alpha, form-factor scale lambda (MeV) and nuclear charge z."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.alpha <= 0.0 or self.lam <= 0.0:
             raise ValueError("alpha and lambda must be positive")
         if not (math.isfinite(self.alpha) and math.isfinite(self.lam)):
             raise ValueError(f"alpha and lambda must be finite, got {self.alpha}, {self.lam}")
         if int(self.z) != self.z or self.z < 1:
             raise ValueError(f"z must be a positive integer, got {self.z}")
-        return self
 
 
 def default_params(c: Constants) -> PotentialParams:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import Constants, _CheckedRecord, derive
+from .constants import Constants, _checked, derive
 from .errors import IllConditionedBasis, ScaleSearchFailure, SupercriticalCharge
 from .quadrature import gauss_legendre
 from .spectra import EnergyLevel, QuantumState
@@ -58,13 +58,8 @@ _GRID_NODES_PER_RADIAN = 4.0  # a panel's Gauss order per basis function and rad
 _GRID_MIN_ORDER = 12  # the least Gauss order of a panel
 
 
-class _SolverConfig(NamedTuple):
-    basis_size: int = 64
-    quad_nodes: int = 4096
-    scale_search: bool = True
-
-
-class SolverConfig(_CheckedRecord, _SolverConfig):
+@_checked
+class SolverConfig(NamedTuple):
     """Basis size, quadrature cap, and whether to search the length scale.
 
     quad_nodes // 68 caps the Gauss order of each of the momentum grid's 68
@@ -72,16 +67,16 @@ class SolverConfig(_CheckedRecord, _SolverConfig):
     the search the scale is the Bohr length 1/(mu*Z*alpha).
     """
 
-    __slots__ = ()
+    basis_size: int = 64
+    quad_nodes: int = 4096
+    scale_search: bool = True
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.basis_size < 4:
             raise ValueError("basis_size must be >= 4")
         if self.quad_nodes < 2 * self.basis_size:
             raise ValueError(f"basis_size {self.basis_size} needs quad_nodes >= "
                              f"{2 * self.basis_size}, have {self.quad_nodes}")
-        return self
 
 
 class SSOperatorMatrices(NamedTuple):

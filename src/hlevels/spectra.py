@@ -12,29 +12,25 @@ which the closed-form commands and the comparison harness share.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
-from .constants import Constants, DerivedMasses, _CheckedRecord, derive
-from .errors import SupercriticalCharge
+from .constants import Constants, DerivedMasses, _checked, derive
+from .errors import HlevelsError, SupercriticalCharge
 
 SPECTROSCOPIC_LETTERS = "SPDFGHIK"
 
 
-class _QuantumState(NamedTuple):
+@_checked
+class QuantumState(NamedTuple):
+    """Radial (k) and orbital (l) quantum numbers of a spinless level."""
+
     k: int
     l: int
 
-
-class QuantumState(_CheckedRecord, _QuantumState):
-    """Radial (k) and orbital (l) quantum numbers of a spinless level."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.k < 0 or self.l < 0:
             raise ValueError(f"quantum numbers must be non-negative: k={self.k}, l={self.l}")
-        return self
 
     def n_principal(self) -> int:
         return self.k + self.l + 1
@@ -46,28 +42,23 @@ class QuantumState(_CheckedRecord, _QuantumState):
         return f"{self.k + 1}{SPECTROSCOPIC_LETTERS[self.l]}"
 
 
-class _DiracState(NamedTuple):
-    n: int
-    two_j: int
-
-
-class DiracState(_CheckedRecord, _DiracState):
+@_checked
+class DiracState(NamedTuple):
     """Principal quantum number n and total angular momentum j.
 
     j is stored doubled (two_j) so that half-integers never enter hash keys.
     """
 
-    __slots__ = ()
+    n: int
+    two_j: int
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.two_j < 1 or self.two_j % 2 == 0:
             raise ValueError(f"two_j must be a positive odd integer, got {self.two_j}")
         if (self.two_j + 1) // 2 > self.n:
             raise ValueError(f"j + 1/2 must not exceed n (n={self.n}, two_j={self.two_j})")
-        return self
 
 
 class ComplexMass(NamedTuple):
@@ -112,20 +103,35 @@ def _vector_coulomb_ev(n: int, h: float, z: int, c: Constants) -> float:
     return _binding_ev(c.m_e, x, c.ev_per_mev)
 
 
-def _qc_parts(n_principal: float, d: DerivedMasses, c: Constants, z: int):
-    """(v, e2, b, |eps^2|) for the quasiclassical quadratic at given N and Z.
+def _refuse_abnormal(s: QuantumState, c: Constants, z: int, *values: float) -> None:
+    """Raise HlevelsError, naming the inputs, unless every value is a normal double.
+
+    Below the normal doubles a quasiclassical level would lose digits, and above them it overflows.
+    """
+    if not all(sys.float_info.min <= x <= sys.float_info.max for x in values):
+        name = s.label if s.l < len(SPECTROSCOPIC_LETTERS) else f"{s.k}:{s.l}"
+        raise HlevelsError(f"quasiclassical {name} at Z = {z}, m_e = {c.m_e} MeV and "
+                           f"m_p = {c.m_p} MeV: the inputs exceed the range of double precision")
+
+
+def _qc_parts(s: QuantumState, d: DerivedMasses, c: Constants, z: int):
+    """(v, e2, b, |eps^2|) for the quasiclassical quadratic of the state's N at Z.
 
     Past v = 1, e_N^2 = m_a^2 (1 - v^2) turns negative and the quadratic
-    has no bound root, so v >= 1 raises SupercriticalCharge.
+    has no bound root, so v >= 1 raises SupercriticalCharge.  2 b^2, the
+    masses' fourth power, must be a normal double, and so must m_a^2.
     """
+    n_principal = s.n_principal()
     v = z * c.alpha / (2.0 * n_principal)
     if v >= 1.0:
         raise SupercriticalCharge(
             f"Z*alpha/(2N) = {v:.6f} >= 1 at N = {n_principal:g}; "
             f"no quasiclassical level (Z={z})"
         )
-    e2 = d.m_a**2 * (1.0 - v * v)
     b = d.m_a * d.m_minus * v
+    # equal masses make b = 0 exactly
+    _refuse_abnormal(s, c, z, d.m_a * d.m_a, 2.0 * b * b if d.m_minus else 1.0)
+    e2 = d.m_a**2 * (1.0 - v * v)
     return v, e2, b, math.hypot(e2, b)
 
 
@@ -179,7 +185,7 @@ def qc_squared_mass(
     s_pm = 2 e_N^2 +- 2 sqrt(e_N^4 + b^2); the minus root is written as
     -2 b^2/(|eps^2| + e_N^2) to avoid subtracting near-equal quantities.
     """
-    _, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c, z)
+    _, e2, b, abs_eps2 = _qc_parts(s, d, c, z)
     s_plus = 2.0 * (e2 + abs_eps2)
     s_minus = -2.0 * b * b / (abs_eps2 + e2)
     return s_plus, s_minus
@@ -195,9 +201,11 @@ def qc_root_gaps(
     which is O(v^2) with no cancellation; the lower gap follows from
     m_plus^2 - m_minus^2 = 4 m_e m_p.
     """
-    v, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c, z)
+    v, e2, b, abs_eps2 = _qc_parts(s, d, c, z)
     s_plus = 2.0 * (e2 + abs_eps2)
-    gap_high = (8.0 * d.m_a**2 * v * v * c.m_e * c.m_p) / (d.m_a**2 * (1.0 + v * v) + abs_eps2)
+    numerator = 8.0 * d.m_a**2 * v * v * c.m_e * c.m_p
+    _refuse_abnormal(s, c, z, numerator)
+    gap_high = numerator / (d.m_a**2 * (1.0 + v * v) + abs_eps2)
     gap_low = 4.0 * c.m_e * c.m_p - gap_high
     return s_plus, gap_low, gap_high
 
@@ -207,7 +215,7 @@ def qc_complex_mass(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1)
 
     M_im^2 = 2(|eps^2| - Re eps^2) is evaluated as 2 b^2/(|eps^2| + e_N^2).
     """
-    _, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c, z)
+    _, e2, b, abs_eps2 = _qc_parts(s, d, c, z)
     re = math.sqrt(2.0 * (abs_eps2 + e2))
     im = b * math.sqrt(2.0 / (abs_eps2 + e2))
     return ComplexMass(re=re, im=im)
@@ -221,7 +229,7 @@ def qc_level(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1) -> Ene
     so the ~1e-8 relative difference of the masses is never formed by
     subtracting the masses themselves.  Depends on (k, l) only through N.
     """
-    v, e2, b, abs_eps2 = _qc_parts(s.n_principal(), d, c, z)
+    v, e2, b, abs_eps2 = _qc_parts(s, d, c, z)
     re = math.sqrt(2.0 * (abs_eps2 + e2))
     num = 2.0 * b * b / (abs_eps2 + e2) - d.m_plus**2 * v * v
     value = num / (re + d.m_plus) * c.ev_per_mev

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import Constants, DerivedMasses, _CheckedRecord
+from .constants import Constants, DerivedMasses, _checked
 from .errors import NoBoundRegion, QuadratureFailure
 from .potential import PotentialParams, potential_r
 from .quadrature import gauss_legendre
@@ -48,7 +48,7 @@ class _RadialProblem(NamedTuple):
     m_l: float
 
 
-class RadialProblem(_CheckedRecord, _RadialProblem):
+class RadialProblem(_RadialProblem):
     """Radial radicand K(s)*[s - M(r)^2] - (l+1/2)^2/r^2 at trial mass^2 s.
 
     s_gap_high holds m_plus^2 - s.  When s is a root of the eigenmass
@@ -72,6 +72,10 @@ class RadialProblem(_CheckedRecord, _RadialProblem):
         # pickle, copy and _make pass these to __new__
         return self[:5]
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*tuple.__new__(cls, iterable).__getnewargs__())
+
     def _replace(self, **changes):
         if changes.keys() & {"k_factor", "m_l"}:
             raise ValueError("k_factor and m_l follow from the other fields")
@@ -89,19 +93,14 @@ class RadialProblem(_CheckedRecord, _RadialProblem):
         return self.k_factor * (-self.s_gap_high - w * (2.0 * self.derived.m_plus + w))
 
 
-class _TurningPoints(NamedTuple):
+@_checked
+class TurningPoints(NamedTuple):
     r1: float
     r2: float
 
-
-class TurningPoints(_CheckedRecord, _TurningPoints):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not (0.0 < self.r1 < self.r2):
             raise ValueError(f"need 0 < r1 < r2, got {self.r1}, {self.r2}")
-        return self
 
 
 def find_turning_points(p: RadialProblem) -> TurningPoints:

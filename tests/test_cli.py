@@ -209,7 +209,7 @@ def test_verify_at_lambda_1e145_is_the_point_coulomb_limit(capsys):
      "--mp-mev", "1.6471926554550651e+308"),  # CODATA x 2^1014: v*ev_per_mev*mu overflows
     ("compare", "--basis-size", "8", "--me-mev", "8.97089157544774e+304",
      "--mp-mev", "1.6471926554550651e+308"),
-    ("compare", "--basis-size", "8", "--me-mev", "1e20", "--mp-mev", "1.5e100"),  # printed qc inf
+    ("compare", "--basis-size", "8", "--me-mev", "1e307", "--mp-mev", "1.5e307"),  # kg is -inf
     ("spectrum", "--states", "1S", "--me-mev", "1e200", "--mp-mev", "2e200"),  # OverflowError
     ("spectrum", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed nan
     ("spectrum", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308",
@@ -365,6 +365,10 @@ def _printed_levels(out: str, fmt: str) -> dict:
 @given(_cli_argv())
 @example(["salpeter", "--format", "csv", "--states", "1S,1G", "--basis-size", "16", "--z", "80"])
 @example(["compare", "--format", "json", "--basis-size", "8"])
+@example(["spectrum", "--model", "qc", "--states", "1S", "--format", "json",
+          "--me-mev", "5.109989461e-101", "--mp-mev", "9.382720813e-98"])  # printed 459.5x deep
+@example(["widths", "--me-mev", "9.467141690717716e+77",
+          "--mp-mev", "1.7383117530683519e+81"])  # CODATA x 2^260: printed 1S Gamma as inf
 @example(["salpeter", "--format", "text", "--states", "1S", "--basis-size", "4",
           "--mp-mev", "8.98846567431158e+307"])  # printed a numpy overflow warning
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -462,6 +466,35 @@ def test_compare_past_v_1_empties_the_quasiclassical_cells(capsys, tmp_path):
     assert [s for s, r in accuracies.items() if r["m_im"] is None] == ["1S"]
     assert accuracies["1S"]["flags"] == {k: "UNAVAILABLE" for k in ("kg", "ss", "qc", "m_im")}
     assert accuracies["2S"]["flags"]["m_im"] == "MISMATCH"
+
+
+# masses whose quasiclassical b^2 = (m_a m_minus v)^2 leaves the normal doubles
+_QC_OUT_OF_RANGE = [
+    ("5.109989461e-101", "9.382720813e-98"),  # CODATA x 1e-100: 1S printed 459.5x too deep
+    ("2.508541587073535e-91", "4.606065342981127e-88"),  # CODATA x 2^-300
+    ("1e+20", "1.5e+100"),  # compare printed qc inf and exited 1
+]
+
+
+@pytest.mark.parametrize("m_e, m_p", _QC_OUT_OF_RANGE)
+@pytest.mark.parametrize("argv", [("spectrum", "--model", "qc"), ("widths",), ("verify",)])
+def test_quasiclassical_masses_out_of_range_are_an_error_line(capsys, argv, m_e, m_p):
+    code, out, err = run(capsys, *argv, "--me-mev", m_e, "--mp-mev", m_p)
+    assert (code, out) == (1, "")
+    assert err == (f"error: quasiclassical 1S at Z = 1, m_e = {m_e} MeV and m_p = {m_p} MeV: "
+                   "the inputs exceed the range of double precision\n")
+
+
+@pytest.mark.parametrize("m_e, m_p", _QC_OUT_OF_RANGE)
+def test_compare_empties_the_quasiclassical_cells_at_masses_out_of_range(capsys, m_e, m_p):
+    code, out, err = run(capsys, "compare", "--basis-size", "8", "--format", "json",
+                         "--me-mev", m_e, "--mp-mev", m_p)
+    assert (code, err) == (0, "")
+    table = json.loads(out)["table"]
+    assert all(r["qc"] is None and r["kg"] is not None for r in table["energies"])
+    for row in table["accuracies"]:
+        assert row["m_im"] is None
+        assert row["flags"]["qc"] == row["flags"]["m_im"] == "UNAVAILABLE"
 
 
 @pytest.mark.filterwarnings("error")

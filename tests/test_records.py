@@ -165,13 +165,23 @@ def test_a_record_is_the_tuple_of_its_fields():
     (RadialProblem, {"s": 2.0e6, "l": -1, "params": _P, "derived": _D}, "l must be >= 0, got -1"),
 ])
 def test_invalid_input_raises_value_error(cls, kwargs, message):
-    # the constructor, and _replace and _make of a valid record, check alike
+    # the constructor, _replace and _make of a valid record, and unpickling check alike
     valid = RECORDS[cls.__name__][0]()
+    fields = {**valid._asdict(), **kwargs}.values()
     for build in (lambda: cls(**kwargs),
                   lambda: valid._replace(**kwargs),
-                  lambda: cls._make({**valid._asdict(), **kwargs}.values())):
+                  lambda: cls._make(fields),
+                  lambda: pickle.loads(pickle.dumps(tuple.__new__(cls, fields)))):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+
+@pytest.mark.parametrize("cls", [Constants, QuantumState, DiracState, PotentialParams,
+                                 SolverConfig, ReferenceDataset, TurningPoints],
+                         ids=lambda cls: cls.__name__)
+def test_a_checked_record_is_one_class(cls):
+    # one class holds the fields and their _check
+    assert cls.__mro__ == (cls, tuple, object)
 
 
 def test_asdict_keeps_the_field_order():

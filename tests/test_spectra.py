@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from hlevels import (
     Constants,
     DerivedMasses,
     DiracState,
+    HlevelsError,
     QuantumState,
     SupercriticalCharge,
     critical_z,
@@ -332,6 +334,58 @@ def test_naive_double_precision_is_worse(C, D):
     naive = (math.sqrt(2.0 * (math.hypot(e2, b) + e2)) - D.m_plus) * C.ev_per_mev
     assert abs(naive - qc_level(st_, D, C).value) < 1e-6  # still close...
     assert naive != qc_level(st_, D, C).value  # ...but not clean
+
+
+# each closed-form model at Z = 1 as a function of the state and the constant set
+_MASS_MODELS = {
+    "schrodinger": lambda st_, c: schrodinger_level(st_.n_principal(), c).value,
+    "sommerfeld": lambda st_, c: sommerfeld_level(
+        DiracState(st_.n_principal(), 2 * st_.l + 1), 1, c).value,
+    "kg": lambda st_, c: kg_level(st_, 1, c).value,
+    "scalar": lambda st_, c: scalar_coulomb_level(st_, 1, c).value,
+    "schrodinger_reduced": lambda st_, c: schrodinger_level(st_.n_principal(), c, True).value,
+    "scalar_reduced": lambda st_, c: scalar_coulomb_level(st_, 1, c, use_reduced=True).value,
+    "qc_level": lambda st_, c: qc_level(st_, derive(c), c).value,
+    "qc_width": lambda st_, c: qc_width(st_, derive(c), c),
+}
+
+
+def test_closed_form_models_are_homogeneous_in_the_masses(C):
+    # both masses times 2^k scale every level and width by 2^k, exactly while no intermediate
+    # leaves the normal doubles (the bare-mass levels from k = -1001, where the level in MeV
+    # is one); the reduced mass is a quotient formed one of two ways (measured: within
+    # 4.1e-16), and the quasiclassical model refuses masses that take its intermediates out
+    # of the normal doubles (its b^2 scales as 2^4k)
+    codata = {(name, st_): model(st_, C) for name, model in _MASS_MODELS.items()
+              for st_ in TABLE_STATES}
+    qc_refused = set()
+    for k in range(-1020, 1014):
+        try:
+            c = C._replace(m_e=math.ldexp(C.m_e, k), m_p=math.ldexp(C.m_p, k))
+        except ValueError:
+            continue
+        for (name, st_), value in codata.items():
+            expected = math.ldexp(value, k)
+            if name.startswith("qc"):
+                try:
+                    got = _MASS_MODELS[name](st_, c)
+                except HlevelsError:
+                    qc_refused.add(k)
+                    continue
+                assert got == expected, (name, st_, k)
+            elif sys.float_info.min <= abs(expected) / C.ev_per_mev:  # the level in MeV
+                got = _MASS_MODELS[name](st_, c)
+                if name.endswith("_reduced"):
+                    assert abs(got - expected) <= 5e-16 * abs(expected), (name, st_, k)
+                else:
+                    assert got == expected, (name, st_, k)
+    assert not qc_refused & set(range(-259, 251))
+
+
+def test_qc_refusal_names_a_state_past_the_letters():
+    c = Constants(m_e=1e-100, m_p=1e-97)
+    with pytest.raises(HlevelsError, match="^quasiclassical 0:8 at Z = 1, m_e = 1e-100 MeV"):
+        qc_level(QuantumState(0, 8), derive(c), c)
 
 
 def test_critical_z(C):
