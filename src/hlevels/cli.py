@@ -45,15 +45,14 @@ _VERIFY_LIMIT = 1.0e-5
 
 
 def parse_state_label(text: str) -> QuantumState:
-    """'1S' -> (k=0, l=0), '2P' -> (1, 1); also accepts explicit 'k,l' or 'k:l'."""
+    """'1S' -> (k=0, l=0), '2P' -> (1, 1); also accepts an explicit 'k:l'."""
     text = text.strip()
-    sep = "," if "," in text else ":"
-    if sep in text:
+    if ":" in text:
         try:
-            k_text, l_text = text.split(sep)
+            k_text, l_text = text.split(":")
             return QuantumState(k=int(k_text), l=int(l_text))
         except ValueError:
-            raise ParseError(f"cannot parse state {text!r} as 'k{sep}l'") from None
+            raise ParseError(f"cannot parse state {text!r} as 'k:l'") from None
     if len(text) < 2:
         raise ParseError(f"state label too short: {text!r}")
     head, letter = text[:-1], text[-1].upper()
@@ -69,7 +68,7 @@ def parse_state_label(text: str) -> QuantumState:
 
 
 def _split_states(text: str) -> list[QuantumState]:
-    # labels are comma separated, so a pair takes its colon form k:l here
+    # labels are comma separated, so a pair takes the form k:l
     out = [parse_state_label(part) for part in text.split(",") if part.strip()]
     if not out:
         raise ParseError(f"no state labels in {text!r}")

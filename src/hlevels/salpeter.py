@@ -360,11 +360,13 @@ def lowest_levels(
             )[1]
             for index in range(count)
         ]
-    # in this order no intermediate leaves the normal doubles for masses 2^-1020 to 2^1013
-    # times the CODATA ones
-    mu = derive(c).mu
+    # mu's binary exponent comes last, as a power of two, which scales exactly: no
+    # intermediate leaves the normal doubles before the level does, and a level past them
+    # is -inf (math.ldexp of the level would raise instead)
+    mantissa, exponent = math.frexp(derive(c).mu)
+    power = math.ldexp(1.0, exponent)
     return [
-        EnergyLevel(value=float(v) * c.ev_per_mev * mu * za, model="salpeter",
+        EnergyLevel(value=float(v) * c.ev_per_mev * mantissa * za * power, model="salpeter",
                     state=QuantumState(k=i, l=l))
         for i, v in enumerate(values)
     ]

@@ -38,50 +38,32 @@ def angular_eigenmomentum(l: int) -> float:
     return l + 0.5
 
 
-class _RadialProblem(NamedTuple):
+@_checked
+class RadialProblem(NamedTuple):
+    """Radial radicand K(s)*[s - M(r)^2] - (l+1/2)^2/r^2 at trial mass^2 s.
+
+    s_gap_high holds m_plus^2 - s, in closed form for a root of the
+    eigenmass quadratic (see qc_root_gaps); the radicand then expands the
+    square of the mass function so that the near-total cancellation of s
+    against m_plus^2 never occurs in floats.
+    """
+
     s: float
     l: int
     params: PotentialParams
     derived: DerivedMasses
     s_gap_high: float
-    k_factor: float
-    m_l: float
 
+    def _check(self):
+        angular_eigenmomentum(self.l)  # refuses l < 0
 
-class RadialProblem(_RadialProblem):
-    """Radial radicand K(s)*[s - M(r)^2] - (l+1/2)^2/r^2 at trial mass^2 s.
+    @property
+    def k_factor(self) -> float:
+        return (1.0 - self.derived.m_minus**2 / self.s) / 4.0
 
-    s_gap_high holds m_plus^2 - s.  When s is a root of the eigenmass
-    quadratic the gap is supplied in closed form (see qc_root_gaps); the
-    radicand then expands the square of the mass function so that the
-    near-total cancellation of s against m_plus^2 never occurs in floats.
-    k_factor and m_l are computed from the other fields, also by _replace,
-    which refuses to set them; it computes s_gap_high again when s or derived change without it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, s, l, params, derived, s_gap_high=None):
-        if s_gap_high is None:  # m_plus^2 - s
-            s_gap_high = derived.m_plus**2 - s
-        k_factor = (1.0 - derived.m_minus**2 / s) / 4.0
-        return super().__new__(cls, s, l, params, derived, s_gap_high, k_factor,
-                               angular_eigenmomentum(l))
-
-    def __getnewargs__(self):
-        # pickle, copy and _make pass these to __new__
-        return self[:5]
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*tuple.__new__(cls, iterable).__getnewargs__())
-
-    def _replace(self, **changes):
-        if changes.keys() & {"k_factor", "m_l"}:
-            raise ValueError("k_factor and m_l follow from the other fields")
-        if changes.keys() & {"s", "derived"}:
-            changes.setdefault("s_gap_high", None)
-        return super()._replace(**changes)
+    @property
+    def m_l(self) -> float:
+        return angular_eigenmomentum(self.l)
 
     def radicand(self, r):
         return self.p_squared(r) - (self.m_l / r) ** 2

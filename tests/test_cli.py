@@ -1,4 +1,5 @@
 import csv
+import decimal
 import hashlib
 import json
 import math
@@ -24,8 +25,10 @@ from hlevels import (
     salpeter_levels,
 )
 from hlevels.cli import BLAS_THREAD_VARIABLES, main, parse_state_label
+from hlevels.harness import TABLE_STATES
 from hlevels.salpeter import _SCALE_BRACKET, _SCALE_RTOL
 from hlevels.spectra import SPECTROSCOPIC_LETTERS
+from test_acceptance import salpeter_weak_coupling
 
 
 def run(capsys, *argv):
@@ -39,8 +42,9 @@ def test_parse_state_label_examples():
     assert parse_state_label("1P") == QuantumState(0, 1)
     assert parse_state_label("2P") == QuantumState(1, 1)
     assert parse_state_label("3S") == QuantumState(2, 0)
-    assert parse_state_label("2,1") == QuantumState(2, 1)
     assert parse_state_label("2:1") == QuantumState(2, 1)
+    with pytest.raises(ParseError):  # --states splits on commas before it parses a label
+        parse_state_label("2,1")
 
 
 def test_parse_state_label_errors():
@@ -205,10 +209,10 @@ def test_verify_at_lambda_1e145_is_the_point_coulomb_limit(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--lambda-mev", "1e146"),  # raised OverflowError
     ("verify", "--lambda-mev", "1e200"),
-    ("salpeter", "--states", "1S", "--basis-size", "8", "--me-mev", "8.97089157544774e+304",
-     "--mp-mev", "1.6471926554550651e+308"),  # CODATA x 2^1014: v*ev_per_mev*mu overflows
-    ("compare", "--basis-size", "8", "--me-mev", "8.97089157544774e+304",
-     "--mp-mev", "1.6471926554550651e+308"),
+    ("salpeter", "--states", "1S", "--basis-size", "8", "--me-mev", "8e307",
+     "--mp-mev", "9e307"),  # 1S is about -2e309 eV
+    ("compare", "--basis-size", "8", "--alpha", "0.5", "--me-mev", "1e303",
+     "--mp-mev", "2e303"),  # 1S is finite in ss, its epsilon is not
     ("compare", "--basis-size", "8", "--me-mev", "1e307", "--mp-mev", "1.5e307"),  # kg is -inf
     ("spectrum", "--states", "1S", "--me-mev", "1e200", "--mp-mev", "2e200"),  # OverflowError
     ("spectrum", "--states", "1S", "--me-mev", "1e308", "--mp-mev", "1.5e308"),  # printed nan
@@ -242,7 +246,9 @@ def test_overflow_is_an_error_line(capsys, argv):
     # CODATA times 2^20: the search ran past the top of the grid, 2S printed 6166 eV too deep
     ("535821.2309057536", "983849585.9212288", 20),
     ("1e200", "1e201", 664),  # m_e*m_p overflowed in mu: Constants refused the masses
-], ids=["1e-260-1.5e-60", "1e-300", "1e-305", "codata-x2^20", "1e200-1e201"])
+    # CODATA times 2^1014: v*ev_per_mev*mu overflowed, salpeter printed an error line
+    ("8.97089157544774e+304", "1.6471926554550651e+308", 1014),
+], ids=["1e-260-1.5e-60", "1e-300", "1e-305", "codata-x2^20", "1e200-1e201", "codata-x2^1014"])
 def test_salpeter_levels_scale_with_the_masses(capsys, m_e, m_p, k):
     # the Hamiltonian is homogeneous in the masses, so each level is 2^k times the level at
     # the masses times 2^-k, to the search noise
@@ -271,6 +277,19 @@ def test_compare_fills_the_ss_cells_at_masses_the_grid_refused(capsys):
         assert hashlib.md5(out.encode()).hexdigest() == md5
         flags = [line.split()[-1] for line in out.splitlines()[12:]]
         assert len(flags) == 10 and not any("ss=UNAVAILABLE" in f for f in flags)
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_fills_the_ss_cells_at_the_largest_masses(capsys):
+    # at CODATA times 2^1014 v*ev_per_mev*mu overflowed and compare exited 1 with an error line
+    def ss_cells(*masses):
+        code, out, err = run(capsys, "compare", "--basis-size", "8", "--format", "json", *masses)
+        assert (code, err) == (0, "")
+        return {row["state"]: row["ss"] for row in json.loads(out)["table"]["energies"]}
+
+    got = ss_cells("--me-mev", "8.97089157544774e+304", "--mp-mev", "1.6471926554550651e+308")
+    for state, value in ss_cells().items():
+        assert abs(got[state] - math.ldexp(value, 1014)) <= 1e-11 * abs(math.ldexp(value, 1014))
 
 
 _MASS_MEV = st.floats(min_value=1e-300, max_value=1e308, allow_subnormal=False)
@@ -318,6 +337,16 @@ def _state_lists(draw):
     return ",".join(label(*p) for p in draw(st.lists(pairs, min_size=1, max_size=4)))
 
 
+# pairs that two independent draws rarely give: m_e*m_p near the smallest normal double,
+# where mu changes form, and m_e + m_p near the largest double, where m_plus overflows
+_EDGE_MASS_PAIRS = (
+    st.tuples(st.floats(1e-300, 1e-8), st.floats(0.25, 4.0)).map(
+        lambda t: (t[0], t[1] * sys.float_info.min / t[0]))
+    | st.tuples(st.floats(0.5 * sys.float_info.max, sys.float_info.max), st.floats(0.5, 1.5)).map(
+        lambda t: (t[0], t[1] * (sys.float_info.max - t[0])))
+)
+
+
 @st.composite
 def _cli_argv(draw):
     """An argv over every command and the documented ranges of its options."""
@@ -343,8 +372,11 @@ def _cli_argv(draw):
     mass = st.none() | st.none() | st.floats(1e-3, 1e4) | st.floats(1e-300, 1e308)
     alpha = draw(st.none() | st.none() | st.floats(1e-4, 0.05) | st.floats(1e-6, 1.0)
                  | st.sampled_from([math.nan, math.inf]))
-    m_e = draw(mass)
-    m_p = draw(mass | st.just(m_e))  # equal masses included
+    if draw(st.integers(0, 4)) == 0:
+        m_e, m_p = draw(_EDGE_MASS_PAIRS)
+    else:
+        m_e = draw(mass)
+        m_p = draw(mass | st.just(m_e))  # equal masses included
     if m_e is not None and m_p is not None:
         m_e, m_p = sorted((m_e, m_p))
     for flag, value in (("--alpha", alpha), ("--me-mev", m_e), ("--mp-mev", m_p)):
@@ -371,6 +403,8 @@ def _printed_levels(out: str, fmt: str) -> dict:
           "--mp-mev", "1.7383117530683519e+81"])  # CODATA x 2^260: printed 1S Gamma as inf
 @example(["salpeter", "--format", "text", "--states", "1S", "--basis-size", "4",
           "--mp-mev", "8.98846567431158e+307"])  # printed a numpy overflow warning
+@example(["constants", "--format", "text", "--me-mev", "8.988465674311578e+307",
+          "--mp-mev", "8.98846567431158e+307"])  # m_plus prints as 1.797693135e+308
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_input_contract(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -379,11 +413,12 @@ def test_cli_input_contract(capsys, argv):
     if code == 1 and not err.startswith("verification failed: "):  # verify's residual gate
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     for token in _NUMBER_SEPARATORS.split(out):
+        # as a decimal: text's 10 digits round a double near the largest one past it
         try:
-            value = float(token)
-        except ValueError:
+            value = decimal.Decimal(token)
+        except decimal.InvalidOperation:
             continue
-        assert math.isfinite(value), (argv, token)
+        assert value.is_finite(), (argv, token)
     assert run(capsys, *argv) == (code, out, err), argv
     if argv[0] == "salpeter" and code == 0:
         # the searched level is the least of a search whose bracket holds the Bohr scale, on
@@ -397,6 +432,16 @@ def test_cli_input_contract(capsys, argv):
         assert list(printed) == [state.label for state in fixed]
         for state, value in fixed.items():
             assert printed[state.label] <= value + _SCALE_RTOL * abs(value) + rounding, argv
+
+
+def test_salpeter_prints_the_weak_coupling_levels(capsys):
+    # criterion 3 on the printed bytes: the O(alpha^4) two-body expansion within 5e-5 eV
+    code, out, err = run(capsys, "salpeter", "--format", "json", "--basis-size", "64")
+    assert (code, err) == (0, "")
+    printed = _printed_levels(out, "json")
+    assert sorted(printed) == sorted(state.label for state in TABLE_STATES)
+    for state in TABLE_STATES:
+        assert abs(printed[state.label] - salpeter_weak_coupling(state)) <= 5e-5, state.label
 
 
 def test_constants_refuses_z(capsys):

@@ -92,7 +92,7 @@ def test_z_scales_linearly(P):
 
 def test_mass_function(D, P):
     # the radial equation's p^2 = K(s) [s - M(r)^2] with mass function M = m_plus + W(r)
-    problem = RadialProblem(s=2.0e6, l=0, params=P, derived=D)
+    problem = RadialProblem(s=2.0e6, l=0, params=P, derived=D, s_gap_high=D.m_plus**2 - 2.0e6)
     for r in (0.0, 1e-3, 3.7, 1e9):
         mass = D.m_plus + potential_r(r, P)
         expected = problem.k_factor * (problem.s - mass * mass)

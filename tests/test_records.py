@@ -37,6 +37,7 @@ _DERIVED_REPR = ("DerivedMasses(m_plus=938.7830802461, m_minus=937.7610823539, "
                  "m_a=469.39154012305, mu=0.5107207988598017)")
 _PARAMS_REPR = "PotentialParams(alpha=0.0072973525664, lam=840.0, z=1)"
 _SOLVER_REPR = "SolverConfig(basis_size=64, quad_nodes=4096, scale_search=True)"
+_GAP = _D.m_plus**2 - 2.0e6  # m_plus^2 - s of the RadialProblem records below
 
 
 def _matrices(value=1.0):
@@ -69,11 +70,10 @@ RECORDS = {
     "SSOperatorMatrices": (_matrices, lambda: _matrices(2.0),
                            "SSOperatorMatrices(potential=array([[1.]]), overlap=array([[1.]]), "
                            "kinetic_binding=array([[1.]]))"),
-    "RadialProblem": (lambda: RadialProblem(s=2.0e6, l=1, params=_P, derived=_D),
-                      lambda: RadialProblem(s=2.0e6, l=0, params=_P, derived=_D),
+    "RadialProblem": (lambda: RadialProblem(2.0e6, 1, _P, _D, _GAP),
+                      lambda: RadialProblem(2.0e6, 0, _P, _D, _GAP),
                       f"RadialProblem(s=2000000.0, l=1, params={_PARAMS_REPR}, "
-                      f"derived={_DERIVED_REPR}, s_gap_high=-1118686.3282436444, "
-                      "k_factor=0.14007551905280524, m_l=1.5)"),
+                      f"derived={_DERIVED_REPR}, s_gap_high=-1118686.3282436444)"),
     "TurningPoints": (lambda: TurningPoints(0.5, 2.0), lambda: TurningPoints(0.5, 3.0),
                       "TurningPoints(r1=0.5, r2=2.0)"),
 }
@@ -162,7 +162,8 @@ def test_a_record_is_the_tuple_of_its_fields():
     (PotentialParams, {"alpha": 0.1, "lam": float("inf")},
      "alpha and lambda must be finite, got 0.1, inf"),
     (PotentialParams, {"alpha": float("nan")}, "alpha and lambda must be finite, got nan, 840.0"),
-    (RadialProblem, {"s": 2.0e6, "l": -1, "params": _P, "derived": _D}, "l must be >= 0, got -1"),
+    (RadialProblem, {"s": 2.0e6, "l": -1, "params": _P, "derived": _D, "s_gap_high": _GAP},
+     "l must be >= 0, got -1"),
 ])
 def test_invalid_input_raises_value_error(cls, kwargs, message):
     # the constructor, _replace and _make of a valid record, and unpickling check alike
@@ -177,7 +178,7 @@ def test_invalid_input_raises_value_error(cls, kwargs, message):
 
 
 @pytest.mark.parametrize("cls", [Constants, QuantumState, DiracState, PotentialParams,
-                                 SolverConfig, ReferenceDataset, TurningPoints],
+                                 SolverConfig, ReferenceDataset, RadialProblem, TurningPoints],
                          ids=lambda cls: cls.__name__)
 def test_a_checked_record_is_one_class(cls):
     # one class holds the fields and their _check
@@ -200,29 +201,18 @@ def test_environment_makes_its_defaults_per_record():
 
 
 def test_radial_problem_computes_its_derived_fields():
+    # k_factor and m_l are properties of the five fields; the gap is always given
+    assert RadialProblem._fields == ("s", "l", "params", "derived", "s_gap_high")
     s = 2.0e6
-    computed = RadialProblem(s=s, l=2, params=_P, derived=_D)
-    assert computed.s_gap_high == _D.m_plus**2 - s
-    assert computed.k_factor == (1.0 - _D.m_minus**2 / s) / 4.0
-    assert computed.m_l == 2.5
-    given = RadialProblem(s, 2, _P, _D, 1.0)
-    assert given.s_gap_high == 1.0 and given.k_factor == computed.k_factor
-    # _replace computes them again; a given s_gap_high stays while s and derived do
-    replaced = given._replace(s=2.0 * s, l=0)
+    problem = RadialProblem(s, 2, _P, _D, 1.0)
+    assert problem.s_gap_high == 1.0
+    assert problem.k_factor == (1.0 - _D.m_minus**2 / s) / 4.0
+    assert problem.m_l == 2.5
+    replaced = problem._replace(s=2.0 * s, l=0)
     assert replaced.k_factor == (1.0 - _D.m_minus**2 / (2.0 * s)) / 4.0
-    assert replaced.m_l == 0.5 and replaced.s_gap_high == _D.m_plus**2 - 2.0 * s
-    assert given._replace(l=0).s_gap_high == 1.0
-    with pytest.raises(ValueError, match="^k_factor and m_l follow from the other fields$"):
-        given._replace(m_l=0.5)
-
-
-def test_radial_problem_replace_computes_the_gap_of_the_new_s():
-    # a copy with another s or other masses gets its own m_plus^2 - s unless one is given
-    problem = RadialProblem(s=2.0e6, l=0, params=_P, derived=_D)
-    assert problem._replace(s=4.0e6).s_gap_high == _D.m_plus**2 - 4.0e6
-    heavier = _D._replace(m_plus=2.0 * _D.m_plus)
-    assert problem._replace(derived=heavier).s_gap_high == heavier.m_plus**2 - 2.0e6
-    assert problem._replace(s=4.0e6, s_gap_high=1.0).s_gap_high == 1.0
+    assert replaced.m_l == 0.5 and replaced.s_gap_high == 1.0
+    with pytest.raises(TypeError, match="s_gap_high"):
+        RadialProblem(s=s, l=2, params=_P, derived=_D)
 
 
 def test_convergence_report_checks_each_basis_size():

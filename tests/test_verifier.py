@@ -80,7 +80,8 @@ def test_inner_turning_point_shrinks_with_coupling(C, D, P):
 
 def test_no_bound_region_above_threshold(C, D, P):
     with pytest.raises(NoBoundRegion):
-        find_turning_points(RadialProblem(s=D.m_plus**2 * 1.001, l=0, params=P, derived=D))
+        s = D.m_plus**2 * 1.001
+        find_turning_points(RadialProblem(s, 0, P, D, s_gap_high=D.m_plus**2 - s))
 
 
 def test_no_bound_region_for_huge_angular_momentum(C, D, P):
