@@ -27,6 +27,7 @@ from .spectra import (
     TABLE_STATES,
     DiracState,
     QuantumState,
+    format_cell,
     format_rows,
     kg_level,
     qc_level,
@@ -115,7 +116,7 @@ def _refuse_non_finite(rows):
                 raise OverflowError(f"{name} of {next(iter(r.values()))} is {value}")
 
 
-def _emit_rows(rows, header, fmt, float_fmt="{:.8f}"):
+def _emit_rows(rows, header, fmt, float_spec=".8f"):
     """Write dict rows in text/csv/json with deterministic formatting."""
     _refuse_non_finite(rows)
     if fmt == "json":
@@ -123,7 +124,7 @@ def _emit_rows(rows, header, fmt, float_fmt="{:.8f}"):
         return
     columns = [
         (h, max(len(h), 14),
-         lambda r, h=h: float_fmt.format(r[h]) if isinstance(r[h], float) else str(r[h]))
+         lambda r, h=h: format_cell(r[h], float_spec) if isinstance(r[h], float) else str(r[h]))
         for h in header
     ]
     sys.stdout.write(format_rows(rows, columns, fmt))
@@ -199,7 +200,7 @@ def _cmd_verify(args) -> int:
         rows,
         ["state", "s_plus", "r1", "r2", "residual", "i_inf_defect"],
         args.format,
-        float_fmt="{:.8e}",
+        float_spec=".8e",
     )
     worst = max(abs(r["residual"]) for r in rows)
     if worst > _VERIFY_LIMIT:
@@ -217,7 +218,7 @@ def _cmd_widths(args) -> int:
         {"state": st.label, "gamma_MeV": qc_width(st, d, c, args.z)}
         for st in _split_states(args.states)
     ]
-    _emit_rows(rows, ["state", "gamma_MeV"], args.format, float_fmt="{:.6f}")
+    _emit_rows(rows, ["state", "gamma_MeV"], args.format, float_spec=".6f")
     return 0
 
 
@@ -237,7 +238,7 @@ def _cmd_constants(args) -> int:
     d = derive(c)
     rows = [{"name": k, "value": v} for k, v in sorted(c._asdict().items())]
     rows += [{"name": f"derived.{k}", "value": v} for k, v in sorted(d._asdict().items())]
-    _emit_rows(rows, ["name", "value"], args.format, float_fmt="{:.10g}")
+    _emit_rows(rows, ["name", "value"], args.format, float_spec=".10g")
     return 0
 
 

@@ -18,6 +18,7 @@ from .salpeter import SolverConfig, salpeter_levels
 from .spectra import (
     TABLE_STATES,
     QuantumState,
+    format_cell,
     format_rows,
     kg_level,
     qc_complex_mass,
@@ -213,7 +214,7 @@ def generate_table2(env: Environment, table1: list[dict]) -> list[dict]:
 
 def _cell(key: str, spec: str = ""):
     """Cell that formats row[key] with spec, or is empty when it is None."""
-    return lambda r: "" if r.get(key) is None else format(r[key], spec)
+    return lambda r: "" if r.get(key) is None else format_cell(r[key], spec)
 
 
 _TABLE1_TEXT = [("state", 5, _cell("state"))] + [

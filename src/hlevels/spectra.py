@@ -273,6 +273,15 @@ TABLE_STATES = (
 )
 
 
+def format_cell(value, spec: str = "") -> str:
+    """format(value, spec), or repr(value) where rounding to spec carries a
+    finite float past the largest double, so that no finite value prints as inf."""
+    text = format(value, spec)
+    if isinstance(value, float) and math.isfinite(value) and not math.isfinite(float(text)):
+        return repr(value)
+    return text
+
+
 def format_rows(rows, columns, fmt: str) -> str:
     """Header and one line per row, as 'text' or 'csv'.
 

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +29,7 @@ from hlevels.harness import (
     table2_to_text,
     tables_to_json,
 )
+from hlevels.spectra import format_cell
 
 # published table-1 energies, used to drive table-2 checks without a solver run
 PUBLISHED_T = {
@@ -235,6 +238,18 @@ def test_serialization_formats():
     doc = json.loads(tables_to_json(t1, t2, Environment()))
     assert set(doc) == {"table", "models", "constants", "mismatches"}
     assert any(m["column"] == "qc" for m in doc["mismatches"])
+
+
+@pytest.mark.parametrize("spec", [".3e", ".10g", ".4g"])
+def test_a_finite_cell_never_rounds_to_inf(spec):
+    top = sys.float_info.max
+    assert math.isinf(float(format(top, spec)))  # the rounding the cell must not print
+    assert format_cell(top, spec) == format_cell(-top, spec)[1:] == repr(top)
+    assert format_cell(1.5, spec) == format(1.5, spec)
+    assert format_cell(math.inf, spec) == "inf" and format_cell("1S") == "1S"
+    t2 = generate_table2(Environment(), published_table1())
+    t2[0]["eps_kg"] = top  # a level 1e306 times its reference
+    assert repr(top) in table2_to_text(t2).splitlines()[1]
 
 
 def test_environment_defaults():
