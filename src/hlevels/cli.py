@@ -122,11 +122,7 @@ def _emit_rows(rows, header, fmt, float_spec=".8f"):
     if fmt == "json":
         sys.stdout.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
         return
-    columns = [
-        (h, max(len(h), 14),
-         lambda r, h=h: format_cell(r[h], float_spec) if isinstance(r[h], float) else str(r[h]))
-        for h in header
-    ]
+    columns = [(h, max(len(h), 14), lambda r, h=h: format_cell(r[h], float_spec)) for h in header]
     sys.stdout.write(format_rows(rows, columns, fmt))
 
 
@@ -159,13 +155,10 @@ def _cmd_compare(args) -> int:
     from .harness import (
         Environment,
         builtin_reference,
+        format_tables,
         generate_table1,
         generate_table2,
         load_reference_csv,
-        table1_to_csv,
-        table1_to_text,
-        table2_to_csv,
-        table2_to_text,
         tables_to_json,
     )
 
@@ -178,14 +171,8 @@ def _cmd_compare(args) -> int:
     table1 = generate_table1(env=env)
     table2 = generate_table2(env=env, table1=table1)
     _refuse_non_finite(table1 + table2)
-    if args.format == "json":
-        sys.stdout.write(tables_to_json(table1, table2, env))
-    elif args.format == "csv":
-        sys.stdout.write(table1_to_csv(table1))
-        sys.stdout.write(table2_to_csv(table2))
-    else:
-        sys.stdout.write(table1_to_text(table1))
-        sys.stdout.write(table2_to_text(table2))
+    sys.stdout.write(tables_to_json(table1, table2, env) if args.format == "json"
+                     else format_tables(table1, table2, args.format))
     return 0
 
 

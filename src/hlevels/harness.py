@@ -10,6 +10,7 @@ epsilon values are only ever compared against, never copied into output.
 from __future__ import annotations
 
 import json
+import math
 from typing import NamedTuple
 
 from .constants import Constants, _checked, default_constants, derive
@@ -70,6 +71,8 @@ class ReferenceDataset(NamedTuple):
         for state, value in self.entries.items():
             if value >= 0.0:
                 raise ValueError(f"reference energy for {state.label} must be negative")
+            if not math.isfinite(value):
+                raise ValueError(f"reference energy for {state.label} must be finite, got {value}")
 
 
 class Environment(NamedTuple):
@@ -123,8 +126,9 @@ def load_reference_csv(path) -> ReferenceDataset:
             raise ParseError(f"label {label!r} does not match (k={k}, l={l})", line=lineno)
         if state in entries:
             raise DuplicateState(f"state {label} appears more than once (line {lineno})")
-        if value >= 0.0:
-            raise ParseError(f"binding energy must be negative, got {value}", line=lineno)
+        if not -math.inf < value < 0.0:
+            raise ParseError(f"binding energy must be negative and finite, got {value}",
+                             line=lineno)
         entries[state] = value
     return ReferenceDataset(entries=entries, source=str(path))
 
@@ -134,6 +138,14 @@ def relative_error(t_model: float, t_ref: float) -> float:
     if t_ref == 0.0:
         raise ZeroDivisionError("reference energy is zero")
     return abs((t_model - t_ref) / t_ref) * 100.0
+
+
+def _unless_refused(value):
+    """value(), or None where a model refuses the input: the one path to an empty cell."""
+    try:
+        return value()
+    except HlevelsError:
+        return None
 
 
 def generate_table1(env: Environment) -> list[dict]:
@@ -146,29 +158,27 @@ def generate_table1(env: Environment) -> list[dict]:
     ss_values = {}
     # one solve per l, so that a channel that fails empties only its own cells
     for l in sorted({st.l for st in TABLE_STATES}):
-        try:
-            ss_values.update(salpeter_levels([st for st in TABLE_STATES if st.l == l],
-                                             env.solver, env.constants, z=env.z))
-        except HlevelsError:
-            pass
+        ss_values.update(_unless_refused(
+            lambda: salpeter_levels([st for st in TABLE_STATES if st.l == l],
+                                    env.solver, env.constants, z=env.z)) or {})
     d = derive(env.constants)
-    rows = []
-    for st in TABLE_STATES:
-        row = {"state": st.label}
-        for model in MODELS:
-            try:
-                if model == "kg":
-                    row[model] = kg_level(st, env.z, env.constants).value
-                elif model == "qc":
-                    row[model] = qc_level(st, d, env.constants, env.z).value
-                elif model == "ss":
-                    row[model] = ss_values.get(st)
-                else:  # nist
-                    row[model] = reference.entries.get(st)
-            except HlevelsError:
-                row[model] = None
-        rows.append(row)
-    return rows
+    return [
+        {
+            "state": st.label,
+            "kg": _unless_refused(lambda: kg_level(st, env.z, env.constants).value),
+            "ss": ss_values.get(st),
+            "qc": _unless_refused(lambda: qc_level(st, d, env.constants, env.z).value),
+            "nist": reference.entries.get(st),
+        }
+        for st in TABLE_STATES
+    ]
+
+
+def _flag(value, published: float) -> str:
+    """MATCH within _EPS_MATCH_RTOL of the published number, else MISMATCH; UNAVAILABLE for None."""
+    if value is None:
+        return "UNAVAILABLE"
+    return "MATCH" if abs(value - published) <= _EPS_MATCH_RTOL * abs(published) else "MISMATCH"
 
 
 def generate_table2(env: Environment, table1: list[dict]) -> list[dict]:
@@ -185,72 +195,51 @@ def generate_table2(env: Environment, table1: list[dict]) -> list[dict]:
     rows = []
     for i, (st, t1) in enumerate(zip(TABLE_STATES, table1)):
         t_ref = t1.get("nist")
-        row = {"state": st.label, "flags": {}}
-        for model in ("kg", "ss", "qc"):
-            value = t1.get(model)
-            if value is None or t_ref is None:
-                row[f"eps_{model}"] = None
-                row["flags"][model] = "UNAVAILABLE"
-                continue
-            eps = relative_error(value, t_ref)
-            row[f"eps_{model}"] = eps
-            published = _PUBLISHED_EPS[model][i]
-            ok = abs(eps - published) <= _EPS_MATCH_RTOL * abs(published)
-            row["flags"][model] = "MATCH" if ok else "MISMATCH"
-        try:
-            m_im = abs(qc_complex_mass(st, d, env.constants, z=env.z).im)
-        except HlevelsError:
-            row["m_im"] = None
-            row["flags"]["m_im"] = "UNAVAILABLE"
-        else:
-            row["m_im"] = m_im
-            ok = abs(m_im - _PUBLISHED_M_IM[i]) <= _EPS_MATCH_RTOL * _PUBLISHED_M_IM[i]
-            row["flags"]["m_im"] = "MATCH" if ok else "MISMATCH"
-        rows.append(row)
+        eps = {m: None if t1.get(m) is None or t_ref is None else relative_error(t1[m], t_ref)
+               for m in ("kg", "ss", "qc")}
+        m_im = _unless_refused(lambda: abs(qc_complex_mass(st, d, env.constants, z=env.z).im))
+        flags = {m: _flag(value, _PUBLISHED_EPS[m][i]) for m, value in eps.items()}
+        flags["m_im"] = _flag(m_im, _PUBLISHED_M_IM[i])
+        rows.append({"state": st.label, "flags": flags,
+                     **{f"eps_{m}": value for m, value in eps.items()}, "m_im": m_im})
     return rows
 
 
 # --- serialization -----------------------------------------------------------
 
 def _cell(key: str, spec: str = ""):
-    """Cell that formats row[key] with spec, or is empty when it is None."""
-    return lambda r: "" if r.get(key) is None else format_cell(r[key], spec)
+    """Cell that formats row[key] with spec; without one, a float prints in round-trip form."""
+    return lambda r: format_cell(r.get(key), spec)
 
 
-_TABLE1_TEXT = [("state", 5, _cell("state"))] + [
-    (f"T_{name}", 14, _cell(m, ".8f")) for name, m in zip(("KG", "SS", "QC", "ref"), MODELS)
-]
-_TABLE1_CSV = [("state", 0, _cell("state"))] + [(m, 0, _cell(m, ".17g")) for m in MODELS]
-_TABLE2_TEXT = (
-    [("state", 5, _cell("state"))]
-    + [(f"eps_{m.upper()}", 10, _cell(f"eps_{m}", ".3e")) for m in ("kg", "ss", "qc")]
-    + [("M_im", 10, _cell("m_im", ".6f")),
-       # the flags sit two spaces after M_im
-       (" flags", 0, lambda r: " " + ",".join(f"{k}={v}" for k, v in r["flags"].items()))]
-)
-_TABLE2_CSV = (
-    [("state", 0, _cell("state"))]
-    + [(f"eps_{m}", 0, _cell(f"eps_{m}", ".17g")) for m in ("kg", "ss", "qc")]
-    + [("m_im", 0, _cell("m_im", ".6f"))]
-    + [(f"flag_{k}", 0, lambda r, k=k: r["flags"][k]) for k in ("kg", "ss", "qc", "m_im")]
-)
+# the columns of each table by format: (header, text width, cell)
+_TABLE1 = {
+    "text": [("state", 5, _cell("state"))] + [
+        (f"T_{name}", 14, _cell(m, ".8f")) for name, m in zip(("KG", "SS", "QC", "ref"), MODELS)
+    ],
+    "csv": [(key, 0, _cell(key)) for key in ("state", *MODELS)],
+}
+_TABLE2 = {
+    "text": (
+        [("state", 5, _cell("state"))]
+        + [(f"eps_{m.upper()}", 10, _cell(f"eps_{m}", ".3e")) for m in ("kg", "ss", "qc")]
+        + [("M_im", 10, _cell("m_im", ".6f")),
+           # the flags sit two spaces after M_im
+           (" flags", 0, lambda r: " " + ",".join(f"{k}={v}" for k, v in r["flags"].items()))]
+    ),
+    "csv": (
+        [(key, 0, _cell(key)) for key in ("state", "eps_kg", "eps_ss", "eps_qc", "m_im")]
+        + [(f"flag_{k}", 0, lambda r, k=k: r["flags"][k]) for k in ("kg", "ss", "qc", "m_im")]
+    ),
+}
 
 
-def table1_to_text(rows) -> str:
-    return format_rows(rows, _TABLE1_TEXT, "text")
+def format_tables(table1, table2, fmt: str) -> str:
+    """Both tables, energies first, as 'text' or 'csv'.
 
-
-def table2_to_text(rows) -> str:
-    return format_rows(rows, _TABLE2_TEXT, "text")
-
-
-def table1_to_csv(rows) -> str:
-    """Round-trippable CSV (17 significant digits)."""
-    return format_rows(rows, _TABLE1_CSV, "csv")
-
-
-def table2_to_csv(rows) -> str:
-    return format_rows(rows, _TABLE2_CSV, "csv")
+    The CSV prints each number in its shortest round-trip form, as the JSON does.
+    """
+    return format_rows(table1, _TABLE1[fmt], fmt) + format_rows(table2, _TABLE2[fmt], fmt)
 
 
 def tables_to_json(table1, table2, env: Environment) -> str:

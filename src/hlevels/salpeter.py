@@ -43,7 +43,7 @@ import numpy as np
 from .constants import Constants, _checked, derive
 from .errors import IllConditionedBasis, ScaleSearchFailure, SupercriticalCharge
 from .quadrature import gauss_legendre
-from .spectra import EnergyLevel, QuantumState
+from .spectra import EnergyLevel, QuantumState, _state_name
 
 _GRID_OCTAVES = range(-40, 28)  # panel k spans u = p/(mu*Z*alpha) in [2^k, 2^(k+1)]
 _SCALE_BRACKET = (0.05, 4.0)  # first scale search range, in Bohr lengths
@@ -129,8 +129,12 @@ def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight=1.0) -> np.ndarr
         prev -= lower
         prev *= (j + l + 2.0) / (j + 1.0)
         prev, cur = cur, prev
-    prefactor = (math.sqrt(2.0 / math.pi) * 2.0 ** (2 * l + 1) * math.factorial(l)
-                 * p**l / (p * p + 1.0) ** (l + 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefactor = (math.sqrt(2.0 / math.pi) * 2.0 ** (2 * l + 1) * math.factorial(l)
+                     * p**l / (p * p + 1.0) ** (l + 2))
+    # past l = 16 the powers overflow on the top octaves, where the basis is below
+    # 1e-100 of its peak: those entries are 0, and every finite one keeps its value
+    prefactor[~np.isfinite(prefactor)] = 0.0
     out *= prefactor * root_weight
     return out
 
@@ -168,7 +172,11 @@ def _tau(x: np.ndarray, r: float) -> np.ndarray:
 def _coulomb_matrix(nb: int, l: int, alpha: float, z: int) -> np.ndarray:
     # <m| -z*alpha/r |n> = -z*alpha N_m N_n 2^-2 sum_{i<=min(m,n)} Gamma(2l+2+i)/i!, at unit scale
     i = np.arange(nb)
-    partial = np.cumsum(np.exp(_lgamma(2 * l + 2 + i) - _lgamma(i + 1)))
+    with np.errstate(over="ignore"):
+        partial = np.cumsum(np.exp(_lgamma(2 * l + 2 + i) - _lgamma(i + 1)))
+    if not math.isfinite(partial[-1]):
+        raise ValueError(f"l = {l} is too large for basis size {nb}: "
+                         "the Coulomb matrix exceeds the range of double precision")
     norms = _basis_norms(nb, l)
     return -z * alpha * np.outer(norms, norms) * partial[np.minimum.outer(i, i)] / 4.0
 
@@ -356,7 +364,7 @@ def lowest_levels(
                 lambda log_length: core.spectrum(math.exp(-log_length))[index],
                 math.log(lo),
                 math.log(hi * (index + l + 1)),
-                QuantumState(k=index, l=l).label,
+                _state_name(QuantumState(k=index, l=l)),
             )[1]
             for index in range(count)
         ]

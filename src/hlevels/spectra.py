@@ -82,6 +82,11 @@ class EnergyLevel(NamedTuple):
 
 # --- helpers ----------------------------------------------------------------
 
+def _state_name(s: QuantumState) -> str:
+    """The state's label, or k:l past the spectroscopic letters, for an error message."""
+    return s.label if s.l < len(SPECTROSCOPIC_LETTERS) else f"{s.k}:{s.l}"
+
+
 def _binding_ev(m_mev: float, x: float, ev_per_mev: float) -> float:
     """m*((1+x)^(-1/2) - 1) in eV without subtractive cancellation.
 
@@ -109,8 +114,7 @@ def _refuse_abnormal(s: QuantumState, c: Constants, z: int, *values: float) -> N
     Below the normal doubles a quasiclassical level would lose digits, and above them it overflows.
     """
     if not all(sys.float_info.min <= x <= sys.float_info.max for x in values):
-        name = s.label if s.l < len(SPECTROSCOPIC_LETTERS) else f"{s.k}:{s.l}"
-        raise HlevelsError(f"quasiclassical {name} at Z = {z}, m_e = {c.m_e} MeV and "
+        raise HlevelsError(f"quasiclassical {_state_name(s)} at Z = {z}, m_e = {c.m_e} MeV and "
                            f"m_p = {c.m_p} MeV: the inputs exceed the range of double precision")
 
 
@@ -274,10 +278,13 @@ TABLE_STATES = (
 
 
 def format_cell(value, spec: str = "") -> str:
-    """format(value, spec), or repr(value) where rounding to spec carries a
+    """A table cell: "" for None, str(value) for a label, and a float as
+    format(value, spec), or repr(value) where rounding to spec carries a
     finite float past the largest double, so that no finite value prints as inf."""
+    if not isinstance(value, float):
+        return "" if value is None else str(value)
     text = format(value, spec)
-    if isinstance(value, float) and math.isfinite(value) and not math.isfinite(float(text)):
+    if math.isfinite(value) and not math.isfinite(float(text)):
         return repr(value)
     return text
 

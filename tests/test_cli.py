@@ -616,6 +616,16 @@ def test_compare_with_custom_reference(capsys, tmp_path):
     assert first["qc"] == pytest.approx(-13.59810653, abs=5e-5)
 
 
+@pytest.mark.parametrize("text", ["nan", "-inf"])
+def test_compare_refuses_a_reference_energy_that_is_not_finite(capsys, tmp_path, text):
+    # the nan once reached the table and was blamed on the range of double precision
+    ref = tmp_path / "ref.csv"
+    ref.write_text(f"state,k,l,T_eV\n1S,0,0,{text}\n")
+    code, out, err = run(capsys, "compare", "--reference", str(ref), "--basis-size", "8")
+    assert (code, out) == (1, "")
+    assert err == f"error: line 2: binding energy must be negative and finite, got {float(text)}\n"
+
+
 def test_compare_past_z_1_needs_a_reference(capsys, tmp_path):
     # the built-in reference is hydrogen's; against it every Z=2 cell read MISMATCH
     code, out, err = run(capsys, "compare", "--z", "2")
@@ -628,6 +638,11 @@ def test_compare_past_z_1_needs_a_reference(capsys, tmp_path):
 
 def _cell(value, spec: str) -> str:
     return "" if value is None else format(value, spec)
+
+
+def _csv_cell(value) -> str:
+    # the CSV prints each number as the JSON does, in its shortest round-trip form
+    return "" if value is None else repr(value)
 
 
 @pytest.mark.parametrize("z", ["1", "100"])  # at Z=100 the S-wave kg cells are empty
@@ -645,15 +660,15 @@ def test_compare_formats_agree_cell_by_cell(capsys, tmp_path, z):
     for row, line, record in zip(energies, text[1:], records[1:]):
         assert line == f"{row['state']:>5} " + " ".join(
             f"{_cell(row[m], '.8f'):>14}" for m in models)
-        assert record == [row["state"]] + [_cell(row[m], ".17g") for m in models]
+        assert record == [row["state"]] + [_csv_cell(row[m]) for m in models]
     for row, line, record in zip(accuracies, text[n + 2:], records[n + 2:]):
         eps = [row[f"eps_{m}"] for m in ("kg", "ss", "qc")]
         flags = [row["flags"][k] for k in flag_keys]
         assert line == (f"{row['state']:>5} " + " ".join(f"{_cell(v, '.3e'):>10}" for v in eps)
                         + f" {row['m_im']:10.6f}  "
                         + ",".join(f"{k}={f}" for k, f in zip(flag_keys, flags)))
-        assert record == ([row["state"]] + [_cell(v, ".17g") for v in eps]
-                          + [_cell(row["m_im"], ".6f")] + flags)
+        assert record == ([row["state"]] + [_csv_cell(v) for v in eps]
+                          + [_csv_cell(row["m_im"])] + flags)
     unavailable = {r["state"] for r in accuracies if r["flags"]["kg"] == "UNAVAILABLE"}
     assert unavailable == ({"1S", "2S", "3S"} if z == "100" else set())
     # past the S-wave critical coupling only the S cells of the Salpeter column are empty

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hlevels import (
+    ComplexMass,
     DuplicateState,
     EnergyLevel,
     Environment,
     IllConditionedBasis,
     ParseError,
     QuantumState,
+    ReferenceDataset,
     SupercriticalCharge,
     builtin_reference,
     generate_table1,
@@ -21,14 +23,7 @@ from hlevels import (
     load_reference_csv,
     relative_error,
 )
-from hlevels.harness import (
-    TABLE_STATES,
-    table1_to_csv,
-    table1_to_text,
-    table2_to_csv,
-    table2_to_text,
-    tables_to_json,
-)
+from hlevels.harness import TABLE_STATES, format_tables, tables_to_json
 from hlevels.spectra import format_cell
 
 # published table-1 energies, used to drive table-2 checks without a solver run
@@ -106,6 +101,22 @@ def test_load_reference_csv_positive_energy(tmp_path):
     f.write_text("state,k,l,T_eV\n1S,0,0,13.6\n")
     with pytest.raises(ParseError):
         load_reference_csv(f)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_load_reference_csv_non_finite_energy(tmp_path, text):
+    f = tmp_path / "nan.csv"
+    f.write_text(f"state,k,l,T_eV\n1S,0,0,-13.6\n2S,1,0,{text}\n")
+    with pytest.raises(ParseError, match=f"^line 3: binding energy must be negative and finite, "
+                                         f"got {float(text)}$") as err:
+        load_reference_csv(f)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_reference_dataset_refuses_a_non_finite_energy(value):
+    with pytest.raises(ValueError, match="^reference energy for 1S must be"):
+        ReferenceDataset(entries={QuantumState(0, 0): value})
 
 
 def test_relative_error_examples():
@@ -220,21 +231,54 @@ def test_generate_table2_refuses_a_table1_of_another_length(count):
 
 def test_table1_csv_round_trip():
     rows = published_table1()
-    records = list(csv.reader(io.StringIO(table1_to_csv(rows))))
+    table2 = generate_table2(Environment(), rows)
+    records = list(csv.reader(io.StringIO(format_tables(rows, table2, "csv"))))[:len(rows) + 1]
     models = ["kg", "ss", "qc", "nist"]
     assert records[0] == ["state", *models]
     again = [{"state": r[0], **dict(zip(models, map(float, r[1:])))} for r in records[1:]]
-    assert again == rows  # exact at 17 significant digits
+    assert again == rows  # exact: each cell is the repr of its value
+    assert [r[1:] for r in records[1:]] == [[repr(row[m]) for m in models] for row in rows]
+
+
+@pytest.mark.parametrize("offset, flag", [(0.0199, "MATCH"), (-0.0199, "MATCH"),
+                                          (0.0201, "MISMATCH"), (-0.0201, "MISMATCH"),
+                                          (None, "UNAVAILABLE")])
+def test_every_flag_column_applies_the_2_percent_rule(monkeypatch, offset, flag):
+    # each eps and each M_im sits at published * (1 + offset); None empties the cell
+    from hlevels.harness import _PUBLISHED_EPS, _PUBLISHED_M_IM
+
+    scale = 1.0 + (offset or 0.0)
+    table1 = published_table1()
+    for i, row in enumerate(table1):
+        for model in ("kg", "ss", "qc"):
+            eps = _PUBLISHED_EPS[model][i] * scale
+            row[model] = None if offset is None else row["nist"] * (1.0 - eps / 100.0)
+    m_im = {st_.label: m * scale for st_, m in zip(TABLE_STATES, _PUBLISHED_M_IM)}
+
+    def complex_mass(state, *args, **kwargs):
+        if offset is None:
+            raise SupercriticalCharge("no quasiclassical level")
+        return ComplexMass(re=1.0, im=-m_im[state.label])
+
+    monkeypatch.setattr("hlevels.harness.qc_complex_mass", complex_mass)
+    rows = generate_table2(Environment(), table1)
+    assert [list(r["flags"]) for r in rows] == [["kg", "ss", "qc", "m_im"]] * len(TABLE_STATES)
+    assert {v for r in rows for v in r["flags"].values()} == {flag}
+    if offset is not None:
+        for i, r in enumerate(rows):
+            assert r["eps_kg"] == pytest.approx(_PUBLISHED_EPS["kg"][i] * scale, rel=1e-9)
+            assert r["m_im"] == pytest.approx(_PUBLISHED_M_IM[i] * scale, rel=1e-15)
 
 
 def test_serialization_formats():
     t1 = published_table1()
     t2 = generate_table2(Environment(), t1)
-    text1, text2 = table1_to_text(t1), table2_to_text(t2)
+    text = format_tables(t1, t2, "text").splitlines()
+    text1, text2 = "\n".join(text[:len(t1) + 1]), "\n".join(text[len(t1) + 1:])
     assert "1S" in text1 and "-13.60659871" in text1
     assert "MISMATCH" in text2
-    csv2 = table2_to_csv(t2)
-    assert csv2.splitlines()[0].startswith("state,eps_kg")
+    csv2 = format_tables(t1, t2, "csv").splitlines()[len(t1) + 1:]
+    assert csv2[0].startswith("state,eps_kg")
     doc = json.loads(tables_to_json(t1, t2, Environment()))
     assert set(doc) == {"table", "models", "constants", "mismatches"}
     assert any(m["column"] == "qc" for m in doc["mismatches"])
@@ -246,10 +290,12 @@ def test_a_finite_cell_never_rounds_to_inf(spec):
     assert math.isinf(float(format(top, spec)))  # the rounding the cell must not print
     assert format_cell(top, spec) == format_cell(-top, spec)[1:] == repr(top)
     assert format_cell(1.5, spec) == format(1.5, spec)
-    assert format_cell(math.inf, spec) == "inf" and format_cell("1S") == "1S"
-    t2 = generate_table2(Environment(), published_table1())
+    assert format_cell(math.inf, spec) == "inf" and format_cell("1S", spec) == "1S"
+    assert format_cell(None, spec) == ""
+    t1 = published_table1()
+    t2 = generate_table2(Environment(), t1)
     t2[0]["eps_kg"] = top  # a level 1e306 times its reference
-    assert repr(top) in table2_to_text(t2).splitlines()[1]
+    assert repr(top) in format_tables(t1, t2, "text").splitlines()[len(t1) + 2]
 
 
 def test_environment_defaults():

@@ -381,6 +381,37 @@ def test_level_below_critical_coupling_is_finite(C, l, z):
     assert math.isfinite(level) and level < 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("l", [8, 17, 36])
+def test_levels_past_the_spectroscopic_letters(C, D, l):
+    # l = 8 has no letter, which the searched path's failure label once required; from
+    # l = 17 the basis prefactor's powers overflow on the top octaves, from l = 35 to inf/inf
+    for level in lowest_levels(l, 2, SolverConfig(), C):
+        n = level.state.n_principal()
+        assert level.value == pytest.approx(-D.mu * C.alpha**2 / (2 * n * n) * C.ev_per_mev,
+                                            rel=1e-5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("l", [17, 36])
+def test_basis_keeps_every_finite_entry_where_its_prefactor_overflows(l):
+    u, w = _momentum_grid(4096, 64)
+    got = _momentum_basis(u, 64, l, np.sqrt(w) * u)
+    with np.errstate(all="ignore"):
+        unmasked = _allocating_momentum_basis(u, 64, l, np.sqrt(w) * u)
+    finite = np.isfinite(unmasked)
+    assert np.all(np.isfinite(got)) and finite.all() == (l < 35)
+    np.testing.assert_array_equal(got[finite], unmasked[finite])
+    assert np.all(got[~finite] == 0.0)
+
+
+def test_an_l_past_the_basis_range_is_refused_by_name(C):
+    # (2l+1+i)!/i! of the Coulomb matrix overflows at basis 64 from l = 73
+    with pytest.raises(ValueError, match=r"^l = 80 is too large for basis size 64: "):
+        lowest_levels(80, 1, SolverConfig(), C)
+    assert lowest_levels(72, 1, SolverConfig(), C)[0].value < 0.0
+
+
 @pytest.mark.parametrize("cfg", [
     SolverConfig(basis_size=192),
     SolverConfig(basis_size=224),
