@@ -11,7 +11,6 @@ from .constants import (
     DerivedMasses,
     default_constants,
     derive,
-    rydberg_constant,
 )
 from .errors import (
     DuplicateState,
@@ -35,12 +34,10 @@ from .spectra import (
     DiracState,
     EnergyLevel,
     QuantumState,
-    critical_z,
     kg_level,
     qc_complex_mass,
     qc_level,
     qc_root_gaps,
-    qc_squared_mass,
     qc_width,
     scalar_coulomb_level,
     schrodinger_level,
@@ -60,7 +57,7 @@ _LAZY = {
                      "convergence_report", "lowest_levels", "salpeter_levels"), "salpeter"),
     **dict.fromkeys(("RadialProblem", "TurningPoints", "analytic_i_infinity",
                      "angular_eigenmomentum", "find_turning_points", "phase_integral",
-                     "quantization_residual", "verification_report"), "verifier"),
+                     "verification_report"), "verifier"),
 }
 
 # `from hlevels import *` and dir() include them

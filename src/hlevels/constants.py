@@ -91,13 +91,3 @@ def derive(c: Constants) -> DerivedMasses:
         mu=product / (c.m_p + c.m_e) if sys.float_info.min <= product <= sys.float_info.max
         else c.m_e / (1.0 + c.m_e / c.m_p),
     )
-
-
-def rydberg_constant(c: Constants) -> float:
-    """Rydberg constant m_e*alpha^2/2 as a wave number in 1/m.
-
-    The MeV energy is divided by h*c = 2*pi*hbar_c (MeV*fm) and the
-    inverse femtometers are rescaled to inverse meters.
-    """
-    energy_mev = c.m_e * c.alpha**2 / 2.0
-    return energy_mev / (2.0 * math.pi * c.hbar_c) * 1.0e15

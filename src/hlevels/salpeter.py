@@ -181,6 +181,14 @@ def _coulomb_matrix(nb: int, l: int, alpha: float, z: int) -> np.ndarray:
     return -z * alpha * np.outer(norms, norms) * partial[np.minimum.outer(i, i)] / 4.0
 
 
+def _refuse_aliasing(deviation: np.ndarray) -> None:
+    defect = float(np.max(np.abs(deviation)))
+    if not defect <= _OVERLAP_DEFECT_MAX:
+        raise IllConditionedBasis(f"overlap deviates from the identity by {defect:.3e} "
+                                  f"(limit {_OVERLAP_DEFECT_MAX:g}); "
+                                  "the momentum grid is too coarse for the basis")
+
+
 class _ScaledCore:
     """Operator parts for one orbital momentum and basis size, in Bohr units.
 
@@ -190,10 +198,14 @@ class _ScaledCore:
     B = phi*sqrt(w)*u on the full grid in u, which no input enters.  The
     overlap S = B B^T is the identity analytically; a grid that aliases the
     basis moves it away, and the variational search then finds spurious low
-    levels, so such a grid raises IllConditionedBasis.  The core also holds
-    the unit-scale Coulomb matrix V1, L^-1 with S = L L^T, and each mass in
-    units of the Bohr momentum, r = (m/mu)/(Z*alpha).  Scaling both masses
-    by one factor moves none of these.
+    levels, so such a grid raises IllConditionedBasis once max|S - I| exceeds
+    _OVERLAP_DEFECT_MAX.  The diagonal of S, sum_j B_nj^2, comes first, in one
+    O(nb N) pass: a grid that fails it is refused before the O(nb^2 N) product
+    is formed, with the diagonal's deviation in the message, and S is checked
+    whole only once its diagonal passes.  The core also holds the unit-scale
+    Coulomb matrix V1, L^-1 with S = L L^T, and each mass in units of the
+    Bohr momentum, r = (m/mu)/(Z*alpha).  Scaling both masses by one factor
+    moves none of these.
 
     The kinetic product runs over one contiguous slice of the grid.  Node i
     adds g_i*tau(s*u_i; r) to trace(K(s)), with g_i = sum_n B_ni^2.  In the
@@ -213,12 +225,9 @@ class _ScaledCore:
         self.ratios = tuple(m / mu / (z * c.alpha) for m in (c.m_e, c.m_p))
         u, w = _momentum_grid(cfg.quad_nodes, cfg.basis_size)
         b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w) * u)
+        _refuse_aliasing(np.einsum("ij,ij->i", b, b) - 1.0)  # S's diagonal, without S
         self.overlap = b @ b.T  # one syrk: exactly symmetric
-        defect = float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size))))
-        if not defect <= _OVERLAP_DEFECT_MAX:
-            raise IllConditionedBasis(f"overlap deviates from the identity by {defect:.3e} "
-                                      f"(limit {_OVERLAP_DEFECT_MAX:g}); "
-                                      "the momentum grid is too coarse for the basis")
+        _refuse_aliasing(self.overlap - np.eye(cfg.basis_size))
         share = np.einsum("ij,ij->j", b, b) * (u * u)
         kept = share > _KINETIC_SCREEN * share.sum() / cfg.basis_size
         first, last = np.flatnonzero(kept)[[0, -1]]

@@ -181,20 +181,6 @@ def scalar_coulomb_level(
     return EnergyLevel(value=value, model="scalar", state=s)
 
 
-def qc_squared_mass(
-    s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1
-) -> tuple[float, float]:
-    """Both real roots (s_plus, s_minus) of the eigenmass quadratic, in MeV^2.
-
-    s_pm = 2 e_N^2 +- 2 sqrt(e_N^4 + b^2); the minus root is written as
-    -2 b^2/(|eps^2| + e_N^2) to avoid subtracting near-equal quantities.
-    """
-    _, e2, b, abs_eps2 = _qc_parts(s, d, c, z)
-    s_plus = 2.0 * (e2 + abs_eps2)
-    s_minus = -2.0 * b * b / (abs_eps2 + e2)
-    return s_plus, s_minus
-
-
 def qc_root_gaps(
     s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1
 ) -> tuple[float, float, float]:
@@ -243,21 +229,6 @@ def qc_level(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1) -> Ene
 def qc_width(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1) -> float:
     """Total width Gamma = 2|M_im| in MeV."""
     return qc_complex_mass(s, d, c, z=z).width()
-
-
-def critical_z(model: str, angular, c: Constants) -> int:
-    """Largest integer Z for which the level still exists.
-
-    model='sommerfeld' takes j (half-integer), model='kg' takes l (integer);
-    the bound is Z*alpha < angular + 1/2 in both cases.
-    """
-    if model not in ("sommerfeld", "kg"):
-        raise ValueError(f"unknown model {model!r}")
-    threshold = angular + 0.5
-    z = math.floor(threshold / c.alpha)
-    while z * c.alpha >= threshold:
-        z -= 1
-    return z
 
 
 # --- tables ------------------------------------------------------------------

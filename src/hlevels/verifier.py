@@ -18,7 +18,7 @@ from .constants import Constants, DerivedMasses, _checked
 from .errors import NoBoundRegion, QuadratureFailure
 from .potential import PotentialParams, potential_r
 from .quadrature import gauss_legendre
-from .spectra import QuantumState, qc_root_gaps
+from .spectra import QuantumState, _state_name, qc_root_gaps
 
 _SCAN_POINTS = 3000
 _SCAN_LOG10_LO = -6.0
@@ -188,22 +188,12 @@ def _check_state(st: QuantumState, d: DerivedMasses, c: Constants, params: Poten
     }
 
 
-def quantization_residual(
-    k: int,
-    l: int,
-    d: DerivedMasses,
-    c: Constants,
-    params: PotentialParams,
-) -> float:
-    """Normalized defect of the phase integral against pi*(k + 1/2)."""
-    return _check_state(QuantumState(k, l), d, c, params)["residual"]
-
-
 def verification_report(
     states,
     d: DerivedMasses,
     c: Constants,
     params: PotentialParams,
 ) -> list[dict]:
-    """One row per state: root, turning points, residual and I_infinity check."""
-    return [{"state": st.label, **_check_state(st, d, c, params)} for st in states]
+    """One row per state, named by its label or k:l: root, turning points, residual and
+    I_infinity check."""
+    return [{"state": _state_name(st), **_check_state(st, d, c, params)} for st in states]

@@ -30,10 +30,11 @@ from _ddouble import DD
 from hlevels import (
     Constants,
     DerivedMasses,
+    DiracState,
     QuantumState,
     SolverConfig,
+    SupercriticalCharge,
     builtin_reference,
-    critical_z,
     default_constants,
     default_params,
     derive,
@@ -41,12 +42,11 @@ from hlevels import (
     qc_complex_mass,
     qc_level,
     qc_root_gaps,
-    qc_squared_mass,
-    quantization_residual,
     relative_error,
-    rydberg_constant,
     scalar_coulomb_level,
+    sommerfeld_level,
     analytic_i_infinity,
+    verification_report,
 )
 from hlevels.harness import (
     TABLE_STATES,
@@ -222,10 +222,8 @@ def test_criterion_5_epsilon_columns(ss_column):
 def test_criterion_6_quantization_residuals():
     params = default_params(C)
     start = time.perf_counter()
-    worst = 0.0
-    for k in range(5):
-        for l in range(5 - k):
-            worst = max(worst, abs(quantization_residual(k, l, D, C, params)))
+    states = [QuantumState(k, l) for k in range(5) for l in range(5 - k)]
+    worst = max(abs(row["residual"]) for row in verification_report(states, D, C, params))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5 and elapsed < 10.0
     report(6, ok, f"quantization residual max {worst:.2e} (limit 1e-5), {elapsed:.1f}s")
@@ -239,15 +237,16 @@ def test_criterion_7_algebraic_identities():
         v = C.alpha / (2.0 * n)
         e2 = D.m_a**2 * (1.0 - v * v)
         b = D.m_a * D.m_minus * v
-        for root in qc_squared_mass(st, D, C):
+        m = qc_complex_mass(st, D, C)
+        s_plus, gap_low, gap_high = qc_root_gaps(st, D, C)
+        # M^2 = 4 (e_N^2 + i b): the quadratic's roots are M_re^2 = s_plus and -M_im^2
+        for root in (s_plus, -m.im**2):
             resid = root * root - 4.0 * e2 * root - 4.0 * b * b
             worst_quad = max(worst_quad, abs(resid) / max(root * root, 4 * b * b))
-        m = qc_complex_mass(st, D, C)
         worst_prod = max(worst_prod, abs(m.re * m.im / (2.0 * b) - 1.0))
         worst_sum = max(
             worst_sum, abs((m.re**2 + m.im**2) / (4.0 * math.hypot(e2, b)) - 1.0)
         )
-        s_plus, gap_low, gap_high = qc_root_gaps(st, D, C)
         i_inf = analytic_i_infinity(s_plus, D, C, gap_low=gap_low, gap_high=gap_high)
         worst_iinf = max(worst_iinf, abs(i_inf / (2.0 * math.pi * n) - 1.0))
         values = [qc_level(QuantumState(k, n - 1 - k), D, C).value for k in range(n)]
@@ -298,23 +297,31 @@ def test_criterion_9_limits_and_properties():
         values.append(lowest_levels(0, 1, cfg, C)[0].value)
     mono_ok = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
-    rydberg = rydberg_constant(C)
-    rydberg_ok = abs(rydberg - 10973731.57) <= 1.0
-
-    ok = equal_ok and limit_ok and mono_ok and rydberg_ok
+    ok = equal_ok and limit_ok and mono_ok
     report(
         9,
         ok,
         f"equal-mass M_im=0 {equal_ok}, alpha->0 ratio defect {abs(ratio - 1):.1e}, "
-        f"variational ladder monotone {mono_ok}, Rydberg {rydberg:.2f} 1/m",
+        f"variational ladder monotone {mono_ok}",
     )
+
+
+def _last_bound_z(level, state):
+    """The largest Z at which the level exists: the first Z + 1 whose level is refused."""
+    z = 1
+    while True:
+        try:
+            level(state, z + 1, C)
+        except SupercriticalCharge:
+            return z
+        z += 1
 
 
 def test_criterion_10_critical_z():
     got = (
-        critical_z("sommerfeld", 0.5, C),
-        critical_z("sommerfeld", 1.5, C),
-        critical_z("kg", 0, C),
+        _last_bound_z(sommerfeld_level, DiracState(1, 1)),
+        _last_bound_z(sommerfeld_level, DiracState(2, 3)),
+        _last_bound_z(kg_level, QuantumState(0, 0)),
     )
     ok = got == (137, 274, 68)
     report(10, ok, f"critical Z (sommerfeld j=1/2, j=3/2, kg l=0) = {got}, expect (137, 274, 68)")

@@ -554,6 +554,14 @@ def test_cli_reports_the_grid_a_basis_needs(capsys):
     assert err == "error: basis_size 3000 needs quad_nodes >= 6000, have 4096\n"
 
 
+def test_cli_refuses_the_largest_basis_the_grid_takes(capsys):
+    # 2048 is the largest basis the default 4096 quad_nodes admit; the grid aliases it
+    code, out, err = run(capsys, "salpeter", "--states", "1S", "--basis-size", "2048")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: overlap deviates from the identity by \d\.\d{3}e-\d\d "
+                        r"\(limit 0\.001\); the momentum grid is too coarse for the basis\n", err)
+
+
 def test_salpeter_refuses_a_level_past_the_widest_bracket(capsys, monkeypatch):
     # a first bracket 3700-fold up, in units of 1e6 1/MeV instead of the Bohr length, puts
     # 1S past its 1024-fold widening; the search that did not widen printed 1S = -4.578 eV

@@ -6,7 +6,6 @@ import pytest
 from hlevels import (
     Constants,
     derive,
-    rydberg_constant,
     schrodinger_level,
 )
 
@@ -65,16 +64,6 @@ def test_mass_difference_identity(C, D):
     assert abs(lhs - rhs) <= 1e-13 * rhs
 
 
-def test_rydberg_constant(C):
-    assert rydberg_constant(C) == pytest.approx(10973731.57, abs=0.5)
-
-
-def test_rydberg_constant_scaling(C):
-    base = rydberg_constant(C)
-    assert rydberg_constant(Constants(alpha=2 * C.alpha)) == pytest.approx(4 * base, rel=1e-12)
-    assert rydberg_constant(Constants(m_e=C.m_e / 2)) == pytest.approx(base / 2, rel=1e-12)
-
-
 # the Rydberg energy m*alpha^2/2 (m = m_e or mu) is the 1S Schrodinger binding energy
 
 def test_rydberg_energy_electron_mass(C):
@@ -97,7 +86,10 @@ def test_rydberg_energy_small_alpha():
 
 
 def test_energy_over_wavenumber_is_hc(C):
-    # E/R_inf = h*c; hbar_c in MeV*fm converts by 1e6 eV/MeV * 1e-15 m/fm
-    ratio = -schrodinger_level(1, C).value / rydberg_constant(C)
+    # E/R_inf = h*c, with R_inf = m_e alpha^2 / 2 / (2 pi hbar_c) in 1/fm, rescaled to 1/m;
+    # hbar_c in MeV*fm converts by 1e6 eV/MeV * 1e-15 m/fm
+    rydberg_wavenumber = C.m_e * C.alpha**2 / 2.0 / (2.0 * math.pi * C.hbar_c) * 1.0e15
+    assert rydberg_wavenumber == pytest.approx(10973731.57, abs=0.5)
+    ratio = -schrodinger_level(1, C).value / rydberg_wavenumber
     hc = 2.0 * math.pi * C.hbar_c * 1e-9
     assert ratio == pytest.approx(hc, rel=1e-12)

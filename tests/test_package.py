@@ -12,7 +12,7 @@ LAZY_NAMES = {
                  "lowest_levels", "salpeter_levels"),
     "verifier": ("RadialProblem", "TurningPoints", "analytic_i_infinity",
                  "angular_eigenmomentum", "find_turning_points", "phase_integral",
-                 "quantization_residual", "verification_report"),
+                 "verification_report"),
 }
 
 

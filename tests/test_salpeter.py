@@ -24,6 +24,7 @@ from hlevels import (
 from hlevels.harness import TABLE_STATES
 from hlevels.salpeter import (
     _KINETIC_SCREEN,
+    _OVERLAP_DEFECT_MAX,
     _SCALE_BRACKET,
     _SCALE_GUARD,
     _SCALE_RTOL,
@@ -300,6 +301,41 @@ def test_core_build_holds_one_basis_array(C):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * cfg.basis_size * nodes * 8
+
+
+def test_refused_build_forms_no_gram_product(C):
+    # the diagonal of S refuses basis 512 before the nb x nb product S = B B^T is formed
+    cfg = SolverConfig(basis_size=512, scale_search=False)
+    nodes = _momentum_grid(cfg.quad_nodes, cfg.basis_size)[0].size
+    tracemalloc.start()
+    try:
+        with pytest.raises(IllConditionedBasis):
+            _ScaledCore(0, cfg, C, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (nodes + cfg.basis_size) * cfg.basis_size * 8
+
+
+@pytest.mark.parametrize("l, sizes", [(l, range(150, 161)) for l in range(9)]
+                         + [(l, (256, 512)) for l in (0, 4)])
+def test_core_refuses_exactly_where_the_overlap_fails(C, l, sizes):
+    # checking S's diagonal first refuses no grid that the whole of S accepts, and the
+    # message gives the diagonal's deviation where the diagonal fails, else the whole S's
+    for nb in sizes:
+        cfg = SolverConfig(basis_size=nb, scale_search=False)
+        u, w = _momentum_grid(cfg.quad_nodes, nb)
+        b = _momentum_basis(u, nb, l, np.sqrt(w) * u)
+        overlap = b @ b.T
+        diagonal = float(np.max(np.abs(np.diag(overlap) - 1.0)))
+        whole = float(np.max(np.abs(overlap - np.eye(nb))))
+        if whole <= _OVERLAP_DEFECT_MAX:
+            _ScaledCore(l, cfg, C, 1)
+            continue
+        shown = diagonal if diagonal > _OVERLAP_DEFECT_MAX else whole
+        with pytest.raises(IllConditionedBasis, match=f"^overlap deviates from the identity "
+                                                      f"by {shown:.3e} "):
+            _ScaledCore(l, cfg, C, 1)
 
 
 def _scaled(c, k):

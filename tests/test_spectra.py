@@ -13,13 +13,11 @@ from hlevels import (
     HlevelsError,
     QuantumState,
     SupercriticalCharge,
-    critical_z,
     derive,
     kg_level,
     qc_complex_mass,
     qc_level,
     qc_root_gaps,
-    qc_squared_mass,
     qc_width,
     scalar_coulomb_level,
     schrodinger_level,
@@ -163,27 +161,33 @@ def test_scalar_coulomb_small_alpha():
 
 # --- quasiclassical complex-mass spectrum ------------------------------------
 
+def _squared_mass_roots(st_, d, c):
+    # the eigenmass quadratic s^2 - 4 e_N^2 s - 4 b^2 = 0 has the roots M_re^2 = s_plus and
+    # -M_im^2, since M^2 = 4 (e_N^2 + i b)
+    return qc_root_gaps(st_, d, c)[0], -qc_complex_mass(st_, d, c).im ** 2
+
+
 def test_qc_squared_mass_satisfies_quadratic(C, D):
     for st_ in TABLE_STATES:
         n = st_.n_principal()
         v = C.alpha / (2.0 * n)
         e2 = D.m_a**2 * (1.0 - v * v)
         b = D.m_a * D.m_minus * v
-        for root in qc_squared_mass(st_, D, C):
+        for root in _squared_mass_roots(st_, D, C):
             residual = root * root - 4.0 * e2 * root - 4.0 * b * b
             assert abs(residual) <= 1e-12 * max(abs(root * root), 4.0 * b * b)
 
 
 def test_qc_squared_mass_equal_masses(C):
     d = _equal_mass_derived()
-    s_plus, s_minus = qc_squared_mass(QuantumState(0, 0), d, C)
+    s_plus, s_minus = _squared_mass_roots(QuantumState(0, 0), d, C)
     v = C.alpha / 2.0
     assert s_plus == pytest.approx(4.0 * d.m_a**2 * (1.0 - v * v), rel=1e-15)
     assert s_minus == 0.0
 
 
 def test_qc_root_position(C, D):
-    s_plus, _ = qc_squared_mass(QuantumState(0, 0), D, C)
+    s_plus = qc_root_gaps(QuantumState(0, 0), D, C)[0]
     assert s_plus / D.m_plus**2 - 1.0 == pytest.approx(-2.899e-8, abs=2e-10)
     assert D.m_minus**2 < s_plus < D.m_plus**2
 
@@ -389,8 +393,10 @@ def test_qc_refusal_names_a_state_past_the_letters():
 
 
 def test_critical_z(C):
-    assert critical_z("sommerfeld", 0.5, C) == 137
-    assert critical_z("sommerfeld", 1.5, C) == 274
-    assert critical_z("kg", 0, C) == 68
-    with pytest.raises(ValueError):
-        critical_z("dirac", 0.5, C)
+    # the last Z with a level: Z*alpha < j + 1/2 for sommerfeld, l + 1/2 for kg
+    for level, state, last in ((sommerfeld_level, DiracState(1, 1), 137),
+                               (sommerfeld_level, DiracState(2, 3), 274),
+                               (kg_level, QuantumState(0, 0), 68)):
+        assert level(state, last, C).value < 0.0
+        with pytest.raises(SupercriticalCharge):
+            level(state, last + 1, C)

@@ -20,7 +20,6 @@ from hlevels import (
     phase_integral,
     potential_r,
     qc_root_gaps,
-    quantization_residual,
     verification_report,
 )
 from hlevels.harness import TABLE_STATES
@@ -171,10 +170,13 @@ def test_analytic_i_infinity_limits(C, D):
 
 
 def test_quantization_residuals_small(C, D, P):
-    for k, l in ((0, 0), (0, 1), (2, 2), (0, 8)):  # l = 8 has no spectroscopic letter
-        assert abs(quantization_residual(k, l, D, C, P)) <= 1e-6
+    states = [QuantumState(0, 0), QuantumState(0, 1), QuantumState(2, 2), QuantumState(0, 8)]
+    rows = verification_report(states, D, C, P)
+    assert [r["state"] for r in rows] == ["1S", "1P", "3D", "0:8"]  # l = 8 has no letter
+    for r in rows:
+        assert abs(r["residual"]) <= 1e-6
     with pytest.raises(ValueError):
-        quantization_residual(-1, 0, D, C, P)
+        verification_report([QuantumState(-1, 0)], D, C, P)
 
 
 def test_verification_report(C, D, P):
