@@ -102,7 +102,7 @@ def _basis_norms(nb: int, l: int) -> np.ndarray:
     return np.exp(0.5 * (3.0 * math.log(2.0) + _lgamma(n + 1) - _lgamma(n + 2 * l + 3)))
 
 
-def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight=1.0) -> np.ndarray:
+def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight=1.0, checked=False) -> np.ndarray:
     """Unit-scale momentum-space basis functions times root_weight, shape (nb, len(p)).
 
     Transform of the Laguerre-(2l+1) layer is
@@ -111,31 +111,33 @@ def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight=1.0) -> np.ndarr
     L_n^{(2l+2)} = sum_j L_j^{(2l+1)}.  The layers D_j = (j+l+1) C_j^{(l+1)}
     follow from the Gegenbauer recurrence as
         D_{j+1} = (j+l+2)/(j+1) * (2y D_j - (j+2l+1)/(j+l) * D_{j-1}),
-    run with their sums on scratch rows in one pass over the rows; one pass
-    over the nodes applies the prefactor and root_weight.
+    run with their sums on scratch rows in one pass over the rows, each row
+    weighted as it is finished.  If checked, a row whose sum of squares (S_nn)
+    misses 1 by more than _OVERLAP_DEFECT_MAX is refused before the next is made.
     """
     y2 = 2.0 * (p * p - 1.0) / (p * p + 1.0)
     norms = _basis_norms(nb, l)
-    out = np.empty((nb, p.size))
-    # D_{j-1}, D_j, the sum of D_i over i <= j, and scratch
-    prev, cur, lower = np.full(p.size, l + 1.0), (l + 2.0) * (l + 1.0) * y2, np.empty(p.size)
-    total = prev.copy()
-    np.multiply(total, norms[0], out=out[0])
-    for j in range(1, nb):
-        total += cur
-        np.multiply(total, norms[j], out=out[j])
-        np.multiply(prev, (j + 2.0 * l + 1.0) / (j + l), out=lower)
-        np.multiply(y2, cur, out=prev)  # D_{j+1} into prev's row
-        prev -= lower
-        prev *= (j + l + 2.0) / (j + 1.0)
-        prev, cur = cur, prev
     with np.errstate(over="ignore", invalid="ignore"):
         prefactor = (math.sqrt(2.0 / math.pi) * 2.0 ** (2 * l + 1) * math.factorial(l)
                      * p**l / (p * p + 1.0) ** (l + 2))
     # past l = 16 the powers overflow on the top octaves, where the basis is below
     # 1e-100 of its peak: those entries are 0, and every finite one keeps its value
-    prefactor[~np.isfinite(prefactor)] = 0.0
-    out *= prefactor * root_weight
+    weight = np.where(np.isfinite(prefactor), prefactor, 0.0) * root_weight
+    out = np.empty((nb, p.size))
+    # D_j, D_{j+1}, the sum of D_i over i <= j, and scratch
+    prev, cur, lower = np.full(p.size, l + 1.0), (l + 2.0) * (l + 1.0) * y2, np.empty(p.size)
+    total = prev.copy()
+    for j in range(nb):
+        row = np.multiply(total, norms[j], out=out[j])
+        row *= weight
+        if checked:
+            _refuse_aliasing(abs(float(row.dot(row)) - 1.0), l, j)
+        total += cur
+        np.multiply(prev, (j + 2.0 * l + 2.0) / (j + l + 1.0), out=lower)
+        np.multiply(y2, cur, out=prev)  # D_{j+2} into prev's row
+        prev -= lower
+        prev *= (j + l + 3.0) / (j + 2.0)
+        prev, cur = cur, prev
     return out
 
 
@@ -181,12 +183,13 @@ def _coulomb_matrix(nb: int, l: int, alpha: float, z: int) -> np.ndarray:
     return -z * alpha * np.outer(norms, norms) * partial[np.minimum.outer(i, i)] / 4.0
 
 
-def _refuse_aliasing(deviation: np.ndarray) -> None:
-    defect = float(np.max(np.abs(deviation)))
+def _refuse_aliasing(defect: float, l: int, row=None) -> None:
     if not defect <= _OVERLAP_DEFECT_MAX:
+        reach = ("the basis" if row is None else
+                 f"basis function {row} of l = {l} (the largest basis it holds is {row})")
         raise IllConditionedBasis(f"overlap deviates from the identity by {defect:.3e} "
                                   f"(limit {_OVERLAP_DEFECT_MAX:g}); "
-                                  "the momentum grid is too coarse for the basis")
+                                  f"the momentum grid is too coarse for {reach}")
 
 
 class _ScaledCore:
@@ -199,13 +202,11 @@ class _ScaledCore:
     overlap S = B B^T is the identity analytically; a grid that aliases the
     basis moves it away, and the variational search then finds spurious low
     levels, so such a grid raises IllConditionedBasis once max|S - I| exceeds
-    _OVERLAP_DEFECT_MAX.  The diagonal of S, sum_j B_nj^2, comes first, in one
-    O(nb N) pass: a grid that fails it is refused before the O(nb^2 N) product
-    is formed, with the diagonal's deviation in the message, and S is checked
-    whole only once its diagonal passes.  The core also holds the unit-scale
-    Coulomb matrix V1, L^-1 with S = L L^T, and each mass in units of the
-    Bohr momentum, r = (m/mu)/(Z*alpha).  Scaling both masses by one factor
-    moves none of these.
+    _OVERLAP_DEFECT_MAX: at the first row of B whose |S_nn - 1| does, as
+    _momentum_basis makes it (no later row and no S is made), else once S is
+    formed.  The core also holds the unit-scale Coulomb matrix V1, L^-1 with
+    S = L L^T, and each mass in units of the Bohr momentum, r = (m/mu)/(Z*alpha).
+    Scaling both masses by one factor moves none of these.
 
     The kinetic product runs over one contiguous slice of the grid.  Node i
     adds g_i*tau(s*u_i; r) to trace(K(s)), with g_i = sum_n B_ni^2.  In the
@@ -224,10 +225,9 @@ class _ScaledCore:
         mu = derive(c).mu
         self.ratios = tuple(m / mu / (z * c.alpha) for m in (c.m_e, c.m_p))
         u, w = _momentum_grid(cfg.quad_nodes, cfg.basis_size)
-        b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w) * u)
-        _refuse_aliasing(np.einsum("ij,ij->i", b, b) - 1.0)  # S's diagonal, without S
+        b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w) * u, checked=True)
         self.overlap = b @ b.T  # one syrk: exactly symmetric
-        _refuse_aliasing(self.overlap - np.eye(cfg.basis_size))
+        _refuse_aliasing(float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size)))), l)
         share = np.einsum("ij,ij->j", b, b) * (u * u)
         kept = share > _KINETIC_SCREEN * share.sum() / cfg.basis_size
         first, last = np.flatnonzero(kept)[[0, -1]]

@@ -19,6 +19,7 @@ from hlevels import (
     convergence_report,
     derive,
     lowest_levels,
+    salpeter,
     salpeter_levels,
 )
 from hlevels.harness import TABLE_STATES
@@ -320,22 +321,66 @@ def test_refused_build_forms_no_gram_product(C):
 @pytest.mark.parametrize("l, sizes", [(l, range(150, 161)) for l in range(9)]
                          + [(l, (256, 512)) for l in (0, 4)])
 def test_core_refuses_exactly_where_the_overlap_fails(C, l, sizes):
-    # checking S's diagonal first refuses no grid that the whole of S accepts, and the
-    # message gives the diagonal's deviation where the diagonal fails, else the whole S's
+    # checking S's diagonal row by row refuses no grid that the whole of S accepts, and the
+    # message gives the first row over the limit with its deviation, else the whole S's
     for nb in sizes:
         cfg = SolverConfig(basis_size=nb, scale_search=False)
         u, w = _momentum_grid(cfg.quad_nodes, nb)
         b = _momentum_basis(u, nb, l, np.sqrt(w) * u)
         overlap = b @ b.T
-        diagonal = float(np.max(np.abs(np.diag(overlap) - 1.0)))
+        rows = np.abs(np.diag(overlap) - 1.0)
         whole = float(np.max(np.abs(overlap - np.eye(nb))))
         if whole <= _OVERLAP_DEFECT_MAX:
             _ScaledCore(l, cfg, C, 1)
             continue
-        shown = diagonal if diagonal > _OVERLAP_DEFECT_MAX else whole
-        with pytest.raises(IllConditionedBasis, match=f"^overlap deviates from the identity "
-                                                      f"by {shown:.3e} "):
+        failing = np.flatnonzero(rows > _OVERLAP_DEFECT_MAX)
+        if failing.size:
+            n = int(failing[0])
+            shown = (rf"{rows[n]:.3e} \(limit 0\.001\); the momentum grid is too coarse for "
+                     rf"basis function {n} of l = {l} ")
+        else:
+            shown = f"{whole:.3e} "
+        with pytest.raises(IllConditionedBasis,
+                           match=f"^overlap deviates from the identity by {shown}"):
             _ScaledCore(l, cfg, C, 1)
+
+
+@pytest.mark.parametrize("l, first", [(0, 158), (4, 155)])
+def test_refused_basis_checks_no_row_past_its_first_aliased_one(C, monkeypatch, l, first):
+    # the row check runs as the recurrence makes each row: a basis-512 core checks rows
+    # 0 to its first aliased one, and neither a later row nor the whole of S
+    checked = []
+    inner = salpeter._refuse_aliasing
+
+    def counting(defect, channel, row=None):
+        checked.append(row)
+        inner(defect, channel, row)
+
+    monkeypatch.setattr(salpeter, "_refuse_aliasing", counting)
+    with pytest.raises(IllConditionedBasis, match=f"basis function {first} of l = {l} "):
+        _ScaledCore(l, SolverConfig(basis_size=512, scale_search=False), C, 1)
+    assert checked == list(range(first + 1))
+
+
+@pytest.mark.parametrize("l, nb", [(0, 64), (4, 64), (0, 158), (7, 152)])
+def test_checked_basis_matches_the_allocating_one(l, nb):
+    # the per-row weight and check keep the float order of the whole-array product
+    u, w = _momentum_grid(4096, nb)
+    root_weight = np.sqrt(w) * u
+    np.testing.assert_array_equal(_momentum_basis(u, nb, l, root_weight, checked=True),
+                                  _allocating_momentum_basis(u, nb, l, root_weight))
+
+
+@pytest.mark.parametrize("l, largest", enumerate([158, 157, 156, 155, 155, 154, 153, 152]))
+def test_largest_basis_per_l(C, D, l, largest):
+    # the README's largest basis per l solves, and one more is refused at that row
+    level = lowest_levels(l, 1, SolverConfig(basis_size=largest, scale_search=False), C)[0]
+    n = level.state.n_principal()
+    assert level.value == pytest.approx(-D.mu * C.alpha**2 / (2 * n * n) * C.ev_per_mev, rel=1e-4)
+    with pytest.raises(IllConditionedBasis, match=rf"; the momentum grid is too coarse for basis "
+                                                  rf"function {largest} of l = {l} \(the largest "
+                                                  rf"basis it holds is {largest}\)$"):
+        lowest_levels(l, 1, SolverConfig(basis_size=largest + 1, scale_search=False), C)
 
 
 def _scaled(c, k):
