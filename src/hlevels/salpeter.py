@@ -102,7 +102,7 @@ def _basis_norms(nb: int, l: int) -> np.ndarray:
     return np.exp(0.5 * (3.0 * math.log(2.0) + _lgamma(n + 1) - _lgamma(n + 2 * l + 3)))
 
 
-def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight=1.0, checked=False) -> np.ndarray:
+def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight: np.ndarray) -> np.ndarray:
     """Unit-scale momentum-space basis functions times root_weight, shape (nb, len(p)).
 
     Transform of the Laguerre-(2l+1) layer is
@@ -112,8 +112,9 @@ def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight=1.0, checked=Fal
     follow from the Gegenbauer recurrence as
         D_{j+1} = (j+l+2)/(j+1) * (2y D_j - (j+2l+1)/(j+l) * D_{j-1}),
     run with their sums on scratch rows in one pass over the rows, each row
-    weighted as it is finished.  If checked, a row whose sum of squares (S_nn)
-    misses 1 by more than _OVERLAP_DEFECT_MAX is refused before the next is made.
+    weighted as it is finished.  root_weight is sqrt(w)*p of a quadrature rule
+    in p, so a row's sum of squares is S_nn; a row whose S_nn misses 1 by more
+    than _OVERLAP_DEFECT_MAX raises IllConditionedBasis before the next is made.
     """
     y2 = 2.0 * (p * p - 1.0) / (p * p + 1.0)
     norms = _basis_norms(nb, l)
@@ -130,8 +131,7 @@ def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight=1.0, checked=Fal
     for j in range(nb):
         row = np.multiply(total, norms[j], out=out[j])
         row *= weight
-        if checked:
-            _refuse_aliasing(abs(float(row.dot(row)) - 1.0), l, j)
+        _refuse_aliasing(abs(float(row.dot(row)) - 1.0), l, j)
         total += cur
         np.multiply(prev, (j + 2.0 * l + 2.0) / (j + l + 1.0), out=lower)
         np.multiply(y2, cur, out=prev)  # D_{j+2} into prev's row
@@ -185,8 +185,7 @@ def _coulomb_matrix(nb: int, l: int, alpha: float, z: int) -> np.ndarray:
 
 def _refuse_aliasing(defect: float, l: int, row=None) -> None:
     if not defect <= _OVERLAP_DEFECT_MAX:
-        reach = ("the basis" if row is None else
-                 f"basis function {row} of l = {l} (the largest basis it holds is {row})")
+        reach = "the basis" if row is None else f"basis function {row} of l = {l}"
         raise IllConditionedBasis(f"overlap deviates from the identity by {defect:.3e} "
                                   f"(limit {_OVERLAP_DEFECT_MAX:g}); "
                                   f"the momentum grid is too coarse for {reach}")
@@ -225,7 +224,7 @@ class _ScaledCore:
         mu = derive(c).mu
         self.ratios = tuple(m / mu / (z * c.alpha) for m in (c.m_e, c.m_p))
         u, w = _momentum_grid(cfg.quad_nodes, cfg.basis_size)
-        b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w) * u, checked=True)
+        b = _momentum_basis(u, cfg.basis_size, l, np.sqrt(w) * u)
         self.overlap = b @ b.T  # one syrk: exactly symmetric
         _refuse_aliasing(float(np.max(np.abs(self.overlap - np.eye(cfg.basis_size)))), l)
         share = np.einsum("ij,ij->j", b, b) * (u * u)

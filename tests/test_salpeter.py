@@ -104,7 +104,7 @@ def test_kinetic_is_the_sum_of_the_single_mass_operators(C, D):
     a = D.mu * C.alpha
     u, w = _momentum_grid(cfg.quad_nodes, cfg.basis_size)
     p = a * u
-    phi = _momentum_basis(u, cfg.basis_size, 0)
+    phi = _allocating_momentum_basis(u, cfg.basis_size, 0, 1.0)
     electron, proton = ((phi * (w * u * u * _tau(p, mass))) @ phi.T
                         for mass in (C.m_e, C.m_p))
     assert np.allclose(m.kinetic_binding, electron + proton, rtol=1e-12, atol=1e-12)
@@ -220,7 +220,7 @@ def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, 
     half = 0.5 * (edges[1:] - edges[:-1])
     u = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x).ravel()
     weight = (half[:, None] * gauss_w).ravel() * u * u
-    phi = _momentum_basis(u, nb, l)
+    phi = _allocating_momentum_basis(u, nb, l, 1.0)
     overlap = (phi * weight) @ phi.T
     l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (overlap + overlap.T)))
     v1 = _coulomb_matrix(nb, l, C.alpha, z)
@@ -246,7 +246,7 @@ def test_screened_spectrum_matches_the_full_grid(C, D, nb, l, z, bohr_multiple, 
     # g u^2 is above the screen
     u, w = _momentum_grid(cfg.quad_nodes, nb)
     weight = w * u * u
-    phi = _momentum_basis(u, nb, l)
+    phi = _allocating_momentum_basis(u, nb, l, 1.0)
     assert core.kept.step is None
     np.testing.assert_array_equal(core.u, u[core.kept])
     share = np.einsum("ij,ij->j", phi, phi * weight) * u * u
@@ -326,7 +326,7 @@ def test_core_refuses_exactly_where_the_overlap_fails(C, l, sizes):
     for nb in sizes:
         cfg = SolverConfig(basis_size=nb, scale_search=False)
         u, w = _momentum_grid(cfg.quad_nodes, nb)
-        b = _momentum_basis(u, nb, l, np.sqrt(w) * u)
+        b = _allocating_momentum_basis(u, nb, l, np.sqrt(w) * u)
         overlap = b @ b.T
         rows = np.abs(np.diag(overlap) - 1.0)
         whole = float(np.max(np.abs(overlap - np.eye(nb))))
@@ -337,7 +337,7 @@ def test_core_refuses_exactly_where_the_overlap_fails(C, l, sizes):
         if failing.size:
             n = int(failing[0])
             shown = (rf"{rows[n]:.3e} \(limit 0\.001\); the momentum grid is too coarse for "
-                     rf"basis function {n} of l = {l} ")
+                     rf"basis function {n} of l = {l}$")
         else:
             shown = f"{whole:.3e} "
         with pytest.raises(IllConditionedBasis,
@@ -357,18 +357,9 @@ def test_refused_basis_checks_no_row_past_its_first_aliased_one(C, monkeypatch, 
         inner(defect, channel, row)
 
     monkeypatch.setattr(salpeter, "_refuse_aliasing", counting)
-    with pytest.raises(IllConditionedBasis, match=f"basis function {first} of l = {l} "):
+    with pytest.raises(IllConditionedBasis, match=f"basis function {first} of l = {l}$"):
         _ScaledCore(l, SolverConfig(basis_size=512, scale_search=False), C, 1)
     assert checked == list(range(first + 1))
-
-
-@pytest.mark.parametrize("l, nb", [(0, 64), (4, 64), (0, 158), (7, 152)])
-def test_checked_basis_matches_the_allocating_one(l, nb):
-    # the per-row weight and check keep the float order of the whole-array product
-    u, w = _momentum_grid(4096, nb)
-    root_weight = np.sqrt(w) * u
-    np.testing.assert_array_equal(_momentum_basis(u, nb, l, root_weight, checked=True),
-                                  _allocating_momentum_basis(u, nb, l, root_weight))
 
 
 @pytest.mark.parametrize("l, largest", enumerate([158, 157, 156, 155, 155, 154, 153, 152]))
@@ -378,8 +369,7 @@ def test_largest_basis_per_l(C, D, l, largest):
     n = level.state.n_principal()
     assert level.value == pytest.approx(-D.mu * C.alpha**2 / (2 * n * n) * C.ev_per_mev, rel=1e-4)
     with pytest.raises(IllConditionedBasis, match=rf"; the momentum grid is too coarse for basis "
-                                                  rf"function {largest} of l = {l} \(the largest "
-                                                  rf"basis it holds is {largest}\)$"):
+                                                  rf"function {largest} of l = {l}$"):
         lowest_levels(l, 1, SolverConfig(basis_size=largest + 1, scale_search=False), C)
 
 
@@ -621,8 +611,11 @@ def _allocating_momentum_basis(p, nb, l, root_weight):
 @given(st.integers(min_value=0, max_value=4), st.integers(min_value=4, max_value=128))
 @example(0, 128)
 @example(4, 128)
+@example(0, 158)
+@example(7, 152)
 def test_momentum_basis_matches_scipy_gegenbauer(l, nb):
-    # oracle: the docstring's layers from scipy's Gegenbauer polynomials, summed by np.cumsum
+    # the reference basis against the docstring's layers from scipy's Gegenbauer
+    # polynomials, summed by np.cumsum
     u = np.geomspace(1e-6, 1e6, 257)
     y = (u * u - 1.0) / (u * u + 1.0)
     j = np.arange(nb)
@@ -634,11 +627,13 @@ def test_momentum_basis_matches_scipy_gegenbauer(l, nb):
     expected = np.cumsum(layers, axis=0) * norms[:, None]
     # the partial sums cancel; hold each to the sum of the magnitudes of its layers
     scale = np.cumsum(np.abs(layers), axis=0) * norms[:, None]
-    got = _momentum_basis(u, nb, l)
+    got = _allocating_momentum_basis(u, nb, l, 1.0)
     assert got.shape == (nb, u.size)
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
-    # the in-place recurrence and row sums keep the float order of the allocating ones
-    root_weight = np.sqrt(u)
+    # the in-place recurrence, row sums, per-row weight and row check keep the float order
+    # of the allocating ones, on the default grid, which holds every row of these bases
+    u, w = _momentum_grid(4096, nb)
+    root_weight = np.sqrt(w) * u
     np.testing.assert_array_equal(_momentum_basis(u, nb, l, root_weight),
                                   _allocating_momentum_basis(u, nb, l, root_weight))
 
