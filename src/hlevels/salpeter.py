@@ -92,14 +92,18 @@ class SSOperatorMatrices(NamedTuple):
     kinetic_binding: np.ndarray
 
 
-def _lgamma(n: np.ndarray) -> np.ndarray:
-    return np.array([math.lgamma(v) for v in n.tolist()])
+def _norm_ratios(nb: int, l: int) -> np.ndarray:
+    # N_n/N_0 for phi_n(r) = N_n (2r)^l e^{-r} L_n^{(2l+2)}(2r), <phi_m phi_n r^2> = delta at
+    # unit scale, N_n^2 = 8 n!/(n+2l+2)!: a product of factors below 1, so no l overflows it
+    t = np.arange(1.0, nb)
+    return np.cumprod(np.concatenate(([1.0], np.sqrt(t / (t + 2 * l + 2)))))
 
 
-def _basis_norms(nb: int, l: int) -> np.ndarray:
-    # phi_n(r) = N_n (2r)^l e^{-r} L_n^{(2l+2)}(2r), <phi_m phi_n r^2> = delta, at unit scale
-    n = np.arange(nb)
-    return np.exp(0.5 * (3.0 * math.log(2.0) + _lgamma(n + 1) - _lgamma(n + 2 * l + 3)))
+def _basis_prefactor(p: np.ndarray, l: int) -> np.ndarray:
+    # N_0 sqrt(2/pi) 2^(2l+1) l! p^l (p^2+1)^-(l+2) as the exp of its log, so no power overflows
+    log_constant = (0.5 * math.log(16.0 / math.pi) - 0.5 * math.lgamma(2 * l + 3)
+                    + (2 * l + 1) * math.log(2.0) + math.lgamma(l + 1))
+    return np.exp(log_constant + l * np.log(p) - (l + 2) * np.log1p(p * p))
 
 
 def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight: np.ndarray) -> np.ndarray:
@@ -112,18 +116,16 @@ def _momentum_basis(p: np.ndarray, nb: int, l: int, root_weight: np.ndarray) -> 
     follow from the Gegenbauer recurrence as
         D_{j+1} = (j+l+2)/(j+1) * (2y D_j - (j+2l+1)/(j+l) * D_{j-1}),
     run with their sums on scratch rows in one pass over the rows, each row
-    weighted as it is finished.  root_weight is sqrt(w)*p of a quadrature rule
-    in p, so a row's sum of squares is S_nn; a row whose S_nn misses 1 by more
-    than _OVERLAP_DEFECT_MAX raises IllConditionedBasis before the next is made.
+    weighted as it is finished: by its norm ratio N_n/N_0 and by N_0 times the
+    prefactor, formed as one exp of its log, so neither overflows at any l and
+    the overlap check alone bounds l.  root_weight is sqrt(w)*p of a quadrature
+    rule in p, so a row's sum of squares is S_nn; a row whose S_nn misses 1 by
+    more than _OVERLAP_DEFECT_MAX raises IllConditionedBasis before the next is
+    made.
     """
     y2 = 2.0 * (p * p - 1.0) / (p * p + 1.0)
-    norms = _basis_norms(nb, l)
-    with np.errstate(over="ignore", invalid="ignore"):
-        prefactor = (math.sqrt(2.0 / math.pi) * 2.0 ** (2 * l + 1) * math.factorial(l)
-                     * p**l / (p * p + 1.0) ** (l + 2))
-    # past l = 16 the powers overflow on the top octaves, where the basis is below
-    # 1e-100 of its peak: those entries are 0, and every finite one keeps its value
-    weight = np.where(np.isfinite(prefactor), prefactor, 0.0) * root_weight
+    norms = _norm_ratios(nb, l)
+    weight = _basis_prefactor(p, l) * root_weight
     out = np.empty((nb, p.size))
     # D_j, D_{j+1}, the sum of D_i over i <= j, and scratch
     prev, cur, lower = np.full(p.size, l + 1.0), (l + 2.0) * (l + 1.0) * y2, np.empty(p.size)
@@ -172,15 +174,11 @@ def _tau(x: np.ndarray, r: float) -> np.ndarray:
 
 
 def _coulomb_matrix(nb: int, l: int, alpha: float, z: int) -> np.ndarray:
-    # <m| -z*alpha/r |n> = -z*alpha N_m N_n 2^-2 sum_{i<=min(m,n)} Gamma(2l+2+i)/i!, at unit scale
-    i = np.arange(nb)
-    with np.errstate(over="ignore"):
-        partial = np.cumsum(np.exp(_lgamma(2 * l + 2 + i) - _lgamma(i + 1)))
-    if not math.isfinite(partial[-1]):
-        raise ValueError(f"l = {l} is too large for basis size {nb}: "
-                         "the Coulomb matrix exceeds the range of double precision")
-    norms = _basis_norms(nb, l)
-    return -z * alpha * np.outer(norms, norms) * partial[np.minimum.outer(i, i)] / 4.0
+    # <m| -z*alpha/r |n> = -z*alpha N_m N_n 2^-2 sum_{i<=min(m,n)} Gamma(2l+2+i)/i! at unit scale;
+    # the sum is (k+2l+2)!/(k! (2l+2)) = 8/(N_k^2 (2l+2)) at k = min(m,n) (hockey stick), so the
+    # element is -z*alpha/(l+1) N_max(m,n)/N_min(m,n), a ratio of falling norms at most 1
+    rho = _norm_ratios(nb, l)
+    return -z * alpha / (l + 1) * np.minimum.outer(rho, rho) / np.maximum.outer(rho, rho)
 
 
 def _refuse_aliasing(defect: float, l: int, row=None) -> None:
@@ -214,8 +212,8 @@ class _ScaledCore:
     share over-counts the relativistic tail.  The slice spans every node whose
     g_i*u_i^2 exceeds _KINETIC_SCREEN * sum(g*u^2) / basis_size.  Nodes
     outside it change no matrix element beyond round-off at any scale, and
-    skipping them halves the cost of a trial or better.  The core keeps B on
-    that slice alone, and K(s) = (B sqrt(tau)) (B sqrt(tau))^T.
+    skipping them halves the cost of a trial or better.  The core keeps a view
+    of B on that slice, and K(s) = (B sqrt(tau)) (B sqrt(tau))^T.
     """
 
     def __init__(self, l, cfg: SolverConfig, c: Constants, z: int):
@@ -232,11 +230,7 @@ class _ScaledCore:
         first, last = np.flatnonzero(kept)[[0, -1]]
         self.kept = slice(int(first), int(last) + 1)
         self.u = u[self.kept]
-        # the kept columns move to the front of b's memory: contiguous, with no second nb x N array
-        width, flat = self.u.size, b.reshape(-1)
-        for row in range(cfg.basis_size):
-            flat[row * width:(row + 1) * width] = b[row, self.kept]
-        self.b = flat[:cfg.basis_size * width].reshape(cfg.basis_size, width)
+        self.b = b[:, self.kept]  # a view: no second nb x N array
         self.v1 = _coulomb_matrix(cfg.basis_size, l, c.alpha, z)
         self.l_inv = np.linalg.inv(np.linalg.cholesky(self.overlap))
 
@@ -344,7 +338,7 @@ def lowest_levels(
     is the core's at the Bohr length.  With scale_search enabled each target
     level is minimized over the log of the variational length, in Bohr
     lengths, by golden-section search until the level stops moving: 5 to
-    18 evaluations per level in the ten-state table, at most 29 for
+    24 evaluations per level in the ten-state table, at most 29 for
     k + l + 1 up to 81.  A bracket end that holds the minimizer widens
     (_widened_min), as the S wave's lower end does from Z = 73 on.  Raises
     SupercriticalCharge when z*alpha exceeds the critical coupling of channel l.

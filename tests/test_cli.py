@@ -578,7 +578,7 @@ def test_salpeter_refuses_a_level_past_the_widest_bracket(capsys, monkeypatch):
     factor = 1e6 * derive(c).mu * c.alpha
     lo, hi = _SCALE_BRACKET
     monkeypatch.setattr("hlevels.salpeter._SCALE_BRACKET", (lo * factor, hi * factor))
-    message = ("1S: the scale search still ends on its lower edge, 0.18199 Bohr lengths, "
+    message = ("1S: the scale search still ends on its lower edge, 0.181984 Bohr lengths, "
                "after widening")
     with pytest.raises(ScaleSearchFailure, match=f"^{message} it 1024-fold$"):
         salpeter_levels([QuantumState(0, 0)], SolverConfig(), c)

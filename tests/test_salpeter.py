@@ -10,6 +10,7 @@ from scipy.special import eval_gegenbauer
 
 from hlevels import (
     Constants,
+    HlevelsError,
     IllConditionedBasis,
     QuantumState,
     ScaleSearchFailure,
@@ -33,11 +34,12 @@ from hlevels.salpeter import (
     _SCALE_WIDENINGS,
     _SCALE_XATOL,
     _ScaledCore,
-    _basis_norms,
+    _basis_prefactor,
     _coulomb_matrix,
     _golden_section_min,
     _momentum_basis,
     _momentum_grid,
+    _norm_ratios,
     _tau,
     _widened_min,
 )
@@ -453,10 +455,11 @@ def test_level_below_critical_coupling_is_finite(C, l, z):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("l", [8, 17, 36])
+@pytest.mark.parametrize("l", [8, 17, 36, 73, 100, 150])
 def test_levels_past_the_spectroscopic_letters(C, D, l):
     # l = 8 has no letter, which the searched path's failure label once required; from
-    # l = 17 the basis prefactor's powers overflow on the top octaves, from l = 35 to inf/inf
+    # l = 17 the direct basis prefactor's powers overflowed on the top octaves, and from
+    # l = 73 the Coulomb matrix's partial sums (2l+1+i)!/i! overflowed at basis 64
     for level in lowest_levels(l, 2, SolverConfig(), C):
         n = level.state.n_principal()
         assert level.value == pytest.approx(-D.mu * C.alpha**2 / (2 * n * n) * C.ev_per_mev,
@@ -464,23 +467,77 @@ def test_levels_past_the_spectroscopic_letters(C, D, l):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("l", [17, 36])
-def test_basis_keeps_every_finite_entry_where_its_prefactor_overflows(l):
-    u, w = _momentum_grid(4096, 64)
-    got = _momentum_basis(u, 64, l, np.sqrt(w) * u)
+def test_a_small_basis_holds_an_l_whose_direct_prefactor_zeroed_it(C, D):
+    # the direct prefactor's 2^(2l+1) l! p^l overflowed over the central octaves from about
+    # l = 126, and the mask that zeroed those entries had basis 8 refused as too coarse
+    level = lowest_levels(130, 1, SolverConfig(basis_size=8), C)[0]
+    assert level.value == pytest.approx(-D.mu * C.alpha**2 / (2 * 131**2) * C.ev_per_mev,
+                                        rel=1e-5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("l", [17, 36, 100])
+def test_basis_prefactor_matches_its_direct_form_where_that_is_finite(l):
+    # N_0 sqrt(2/pi) 2^(2l+1) l! u^l (u^2+1)^-(l+2), formed directly, overflows on the top
+    # octaves from l = 17 and to inf/inf from l = 35; its log form is finite everywhere,
+    # agrees with it wherever both powers are normal doubles, and is below 1e-100 of its
+    # peak elsewhere
+    u = _momentum_grid(4096, 64)[0]
+    got = _basis_prefactor(u, l)
     with np.errstate(all="ignore"):
-        unmasked = _allocating_momentum_basis(u, 64, l, np.sqrt(w) * u)
-    finite = np.isfinite(unmasked)
-    assert np.all(np.isfinite(got)) and finite.all() == (l < 35)
-    np.testing.assert_array_equal(got[finite], unmasked[finite])
-    assert np.all(got[~finite] == 0.0)
+        power, denominator = u**l, (u * u + 1.0) ** (l + 2)
+    normal = (power >= np.finfo(float).tiny) & np.isfinite(denominator)
+    constant = (math.exp(0.5 * (math.log(8.0) - math.lgamma(2 * l + 3))) * math.sqrt(2.0 / math.pi)
+                * 2.0 ** (2 * l + 1) * math.factorial(l))
+    assert np.all(np.isfinite(got)) and not normal.all()
+    np.testing.assert_allclose(got[normal], constant * power[normal] / denominator[normal],
+                               rtol=1e-12)
+    assert np.all(got[~normal] <= 1e-100 * got.max())
 
 
-def test_an_l_past_the_basis_range_is_refused_by_name(C):
-    # (2l+1+i)!/i! of the Coulomb matrix overflows at basis 64 from l = 73
-    with pytest.raises(ValueError, match=r"^l = 80 is too large for basis size 64: "):
-        lowest_levels(80, 1, SolverConfig(), C)
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=80), st.integers(min_value=4, max_value=155))
+@example(0, 155)
+@example(72, 64)
+@example(65, 155)
+def test_coulomb_matrix_matches_its_partial_sums_where_they_are_finite(C, l, nb):
+    # the unit-scale Coulomb matrix against -z*alpha N_m N_n 2^-2 sum_{i<=min(m,n)}
+    # Gamma(2l+2+i)/i!, its sums formed from lgamma, wherever they are doubles
+    i = np.arange(nb)
+    lgamma = np.vectorize(math.lgamma)
+    with np.errstate(over="ignore"):
+        partial = np.cumsum(np.exp(lgamma(2 * l + 2 + i) - lgamma(i + 1)))
+    if not math.isfinite(partial[-1]):
+        return
+    norms = np.exp(0.5 * (3.0 * math.log(2.0) + lgamma(i + 1) - lgamma(i + 2 * l + 3)))
+    expected = -C.alpha * np.outer(norms, norms) * partial[np.minimum.outer(i, i)] / 4.0
+    np.testing.assert_allclose(_coulomb_matrix(nb, l, C.alpha, 1), expected, rtol=1e-12)
+
+
+def test_an_l_past_the_grid_is_refused_by_row(C):
+    # the Coulomb matrix's sums overflowed from l = 73 at basis 64, and from l = 171 the
+    # direct prefactor's l! raised a bare OverflowError; the overlap check now sets the range
     assert lowest_levels(72, 1, SolverConfig(), C)[0].value < 0.0
+    for l, nb, row in [(200, 64, 58), (250, 8, 6), (1000, 8, 1)]:
+        with pytest.raises(IllConditionedBasis, match=rf"; the momentum grid is too coarse for "
+                                                      rf"basis function {row} of l = {l}$"):
+            lowest_levels(l, 1, SolverConfig(basis_size=nb), C)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=1000), st.integers(min_value=4, max_value=64),
+       st.booleans())
+@example(171, 8, True)
+@example(172, 8, False)
+@example(174, 64, True)
+@example(175, 64, False)
+def test_every_l_solves_or_is_refused_by_type(C, l, nb, scale_search):
+    try:
+        levels = lowest_levels(l, 2, SolverConfig(basis_size=nb, scale_search=scale_search), C)
+    except HlevelsError:
+        return
+    assert all(math.isfinite(level.value) for level in levels)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -602,9 +659,8 @@ def _allocating_momentum_basis(p, nb, l, root_weight):
     d[1] = (l + 2.0) * (l + 1.0) * y2
     for j in range(1, nb - 1):
         d[j + 1] = (y2 * d[j] - (j + 2.0 * l + 1.0) / (j + l) * d[j - 1]) * ((j + l + 2.0) / (j + 1.0))
-    prefactor = (math.sqrt(2.0 / math.pi) * 2.0 ** (2 * l + 1) * math.factorial(l)
-                 * p**l / (p * p + 1.0) ** (l + 2))
-    return np.cumsum(d, axis=0) * _basis_norms(nb, l)[:, None] * (prefactor * root_weight)
+    weight = _basis_prefactor(p, l) * root_weight
+    return np.cumsum(d, axis=0) * _norm_ratios(nb, l)[:, None] * weight
 
 
 @settings(deadline=None, max_examples=30)
