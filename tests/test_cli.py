@@ -2,17 +2,13 @@ import csv
 import hashlib
 import json
 import math
-import os
 import re
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
-import hlevels
 from hlevels import (
     ParseError,
     QuantumState,
@@ -23,17 +19,18 @@ from hlevels import (
     derive,
     salpeter_levels,
 )
-from hlevels.cli import BLAS_THREAD_VARIABLES, main, parse_state_label
+from hlevels.cli import main, parse_state_label
 from hlevels.harness import TABLE_STATES
-from hlevels.salpeter import _SCALE_BRACKET, _SCALE_RTOL
+from hlevels.salpeter import (
+    _SCALE_BRACKET,
+    _SCALE_GUARD,
+    _SCALE_RTOL,
+    _SCALE_WIDEN,
+    _SCALE_WIDENINGS,
+)
 from hlevels.spectra import SPECTROSCOPIC_LETTERS
 from test_acceptance import salpeter_weak_coupling
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from test_process import run
 
 
 def test_parse_state_label_examples():
@@ -237,8 +234,7 @@ def test_overflow_is_an_error_line(capsys, argv):
 
 # masses the Salpeter grid that ended at p = 1e6 MeV could not take, each with a k that puts
 # the masses times 2^-k well inside it
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("m_e, m_p, k", [
+_MASS_SCALINGS = [
     ("1e-260", "1.5e-60", -864),  # a NaN basis: salpeter refused
     ("1e-300", "938.2720813", -990),
     ("1e-305", "938.2720813", -1010),  # the grid's octave count overflowed: refused as at 1e-300
@@ -247,13 +243,22 @@ def test_overflow_is_an_error_line(capsys, argv):
     ("1e200", "1e201", 664),  # m_e*m_p overflowed in mu: Constants refused the masses
     # CODATA times 2^1014: v*ev_per_mev*mu overflowed, salpeter printed an error line
     ("8.97089157544774e+304", "1.6471926554550651e+308", 1014),
-], ids=["1e-260-1.5e-60", "1e-300", "1e-305", "codata-x2^20", "1e200-1e201", "codata-x2^1014"])
-def test_salpeter_levels_scale_with_the_masses(capsys, m_e, m_p, k):
+]
+
+
+# the three smallest mass pairs also at basis 8
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m_e, m_p, k, basis", [
+    *((*masses, ()) for masses in _MASS_SCALINGS),
+    *((*masses, ("--basis-size", "8")) for masses in _MASS_SCALINGS[:3]),
+], ids=["1e-260-1.5e-60", "1e-300", "1e-305", "codata-x2^20", "1e200-1e201", "codata-x2^1014",
+        "1e-260-1.5e-60-basis-8", "1e-300-basis-8", "1e-305-basis-8"])
+def test_salpeter_levels_scale_with_the_masses(capsys, m_e, m_p, k, basis):
     # the Hamiltonian is homogeneous in the masses, so each level is 2^k times the level at
     # the masses times 2^-k, to the search noise
     def levels(*masses):
         code, out, err = run(capsys, "salpeter", "--states", "1S,2S", "--format", "json",
-                             "--me-mev", masses[0], "--mp-mev", masses[1])
+                             "--me-mev", masses[0], "--mp-mev", masses[1], *basis)
         assert (code, err) == (0, "")
         return _printed_levels(out, "json")
 
@@ -528,9 +533,12 @@ def test_quasiclassical_masses_out_of_range_are_an_error_line(capsys, argv, m_e,
                    "the inputs exceed the range of double precision\n")
 
 
-@pytest.mark.parametrize("m_e, m_p", _QC_OUT_OF_RANGE)
-def test_compare_empties_the_quasiclassical_cells_at_masses_out_of_range(capsys, m_e, m_p):
-    code, out, err = run(capsys, "compare", "--basis-size", "8", "--format", "json",
+@pytest.mark.parametrize("m_e, m_p, basis", [
+    *((m_e, m_p, ("--basis-size", "8")) for m_e, m_p in _QC_OUT_OF_RANGE),
+    (*_QC_OUT_OF_RANGE[1], ()),
+], ids=[*(f"{m_e}-{m_p}" for m_e, m_p in _QC_OUT_OF_RANGE), "codata-x2^-300-default-basis"])
+def test_compare_empties_the_quasiclassical_cells_at_masses_out_of_range(capsys, m_e, m_p, basis):
+    code, out, err = run(capsys, "compare", *basis, "--format", "json",
                          "--me-mev", m_e, "--mp-mev", m_p)
     assert (code, err) == (0, "")
     table = json.loads(out)["table"]
@@ -578,12 +586,16 @@ def test_salpeter_refuses_a_level_past_the_widest_bracket(capsys, monkeypatch):
     factor = 1e6 * derive(c).mu * c.alpha
     lo, hi = _SCALE_BRACKET
     monkeypatch.setattr("hlevels.salpeter._SCALE_BRACKET", (lo * factor, hi * factor))
-    message = ("1S: the scale search still ends on its lower edge, 0.181984 Bohr lengths, "
-               "after widening")
-    with pytest.raises(ScaleSearchFailure, match=f"^{message} it 1024-fold$"):
+    with pytest.raises(ScaleSearchFailure) as refused:
         salpeter_levels([QuantumState(0, 0)], SolverConfig(), c)
-    code, out, err = run(capsys, "salpeter", "--states", "1S")
-    assert (code, out, err) == (1, "", f"error: {message} it 1024-fold\n")
+    message = str(refused.value)
+    length = re.fullmatch(r"1S: the scale search still ends on its lower edge, ([0-9.e+-]+) Bohr "
+                          r"lengths, after widening it 1024-fold", message)
+    assert length, message
+    # the search ends within the guard of the widened lower end; where in it is round-off
+    widened = math.log(lo * factor) - _SCALE_WIDENINGS * math.log(_SCALE_WIDEN)
+    assert 0.0 <= math.log(float(length[1])) - widened < _SCALE_GUARD
+    assert run(capsys, "salpeter", "--states", "1S") == (1, "", f"error: {message}\n")
 
 
 def test_searched_basis_144_solves(capsys):
@@ -633,14 +645,18 @@ def test_compare_with_custom_reference(capsys, tmp_path):
     assert first["qc"] == pytest.approx(-13.59810653, abs=5e-5)
 
 
-@pytest.mark.parametrize("text", ["nan", "-inf"])
-def test_compare_refuses_a_reference_energy_that_is_not_finite(capsys, tmp_path, text):
+@pytest.mark.parametrize("rows", [["1S,0,0,nan"], ["1S,0,0,-inf"],
+                                  ["1S,0,0,-13.59843445", "2S,1,0,nan"]],
+                         ids=["nan", "-inf", "nan-on-line-3"])
+def test_compare_refuses_a_reference_energy_that_is_not_finite(capsys, tmp_path, rows):
     # the nan once reached the table and was blamed on the range of double precision
     ref = tmp_path / "ref.csv"
-    ref.write_text(f"state,k,l,T_eV\n1S,0,0,{text}\n")
+    ref.write_text("\n".join(["state,k,l,T_eV", *rows]) + "\n")
     code, out, err = run(capsys, "compare", "--reference", str(ref), "--basis-size", "8")
     assert (code, out) == (1, "")
-    assert err == f"error: line 2: binding energy must be negative and finite, got {float(text)}\n"
+    text = rows[-1].rsplit(",", 1)[1]
+    assert err == (f"error: line {len(rows) + 1}: binding energy must be negative and finite, "
+                   f"got {float(text)}\n")
 
 
 def test_compare_past_z_1_needs_a_reference(capsys, tmp_path):
@@ -690,177 +706,3 @@ def test_compare_formats_agree_cell_by_cell(capsys, tmp_path, z):
     assert unavailable == ({"1S", "2S", "3S"} if z == "100" else set())
     # past the S-wave critical coupling only the S cells of the Salpeter column are empty
     assert {r["state"] for r in accuracies if r["flags"]["ss"] == "UNAVAILABLE"} == unavailable
-
-
-def _child_env(**extra) -> dict:
-    src = str(Path(hlevels.__file__).resolve().parent.parent)
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def _exit_by_raising(code):
-    raise SystemExit(code)
-
-
-# runs the module as `python -m hlevels.cli` does, then reports numpy's OpenBLAS threads;
-# os._exit raises instead, so that the probe outlives the entry
-_CLI_THREADS_PROBE = """
-import ctypes, os, pathlib, runpy, sys
-def _exit_by_raising(code):
-    raise SystemExit(code)
-os._exit = _exit_by_raising
-sys.argv = ["hlevels", *sys.argv[1:]]
-try:
-    runpy.run_module("hlevels.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-import numpy
-threads = "unknown"
-for lib in (pathlib.Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
-        fn = getattr(ctypes.CDLL(str(lib)), symbol, None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [], ctypes.c_int
-            threads = fn()
-            break
-print(threads, file=sys.stderr)
-sys.exit(code)
-"""
-
-
-def _compare_json(**threads) -> tuple:
-    """(stdout, BLAS threads) of `compare --format json` with only the given thread variables."""
-    env = {k: v for k, v in _child_env(**threads).items()
-           if k not in BLAS_THREAD_VARIABLES or k in threads}
-    proc = subprocess.run([sys.executable, "-c", _CLI_THREADS_PROBE, "compare", "--format", "json"],
-                          capture_output=True, env=env, timeout=300, check=True)
-    return proc.stdout, proc.stderr.decode().strip()
-
-
-def test_compare_json_is_independent_of_blas_threads():
-    default, one, two = (_compare_json(), _compare_json(OMP_NUM_THREADS="1"),
-                         _compare_json(OMP_NUM_THREADS="2"))
-    assert default[0] == one[0] == two[0]
-    if "unknown" in (default[1], two[1]):
-        pytest.skip("numpy's BLAS is not an OpenBLAS it ships")
-    # the entry runs the default at one thread and leaves the user's two alone
-    assert (default[1], one[1], two[1]) == ("1", "1", str(min(2, os.cpu_count())))
-
-
-@pytest.mark.parametrize("chosen", [{}, {"OMP_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "2"},
-                                    {"MKL_NUM_THREADS": "4"}], ids=["none", "omp", "openblas", "mkl"])
-def test_entry_sets_one_blas_thread_unless_the_user_chose(monkeypatch, chosen):
-    for name in BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in chosen.items():
-        monkeypatch.setenv(name, value)
-    seen = {}
-    monkeypatch.setattr(cli, "main", lambda argv=None: seen.update(
-        {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}) or 7)
-    monkeypatch.setattr(os, "_exit", _exit_by_raising)
-    with pytest.raises(SystemExit) as ended:
-        cli.entry()
-    assert ended.value.code == 7
-    expected = chosen or {"OMP_NUM_THREADS": "1"}
-    assert seen == {name: expected.get(name) for name in BLAS_THREAD_VARIABLES}
-
-
-def _cli_process(*argv) -> subprocess.Popen:
-    """`python -m hlevels.cli argv` with stdout block-buffered, as in a pipe outside pytest.
-
-    Only the final flush in entry() writes a short output then, so a lost flush shows.
-    """
-    env = _child_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.Popen([sys.executable, "-m", "hlevels.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-
-
-@pytest.mark.parametrize("argv", [("compare", "--format", "json"), ("spectrum", "--format", "csv")])
-def test_process_entry_prints_the_bytes_of_main(capsys, argv):
-    proc = _cli_process(*argv)
-    out, _ = proc.communicate(timeout=300)
-    assert proc.returncode == 0
-    assert run(capsys, *argv)[:2] == (0, out.decode())
-
-
-@pytest.mark.parametrize("argv, code", [
-    (("salpeter", "--states", "1S", "--z", "88"), 1),
-    (("spectrum", "--z", "0"), 2),
-])
-def test_process_entry_keeps_the_exit_codes(argv, code):
-    proc = _cli_process(*argv)
-    out, err = proc.communicate(timeout=300)
-    assert (proc.returncode, out) == (code, b"")
-    assert (b"Traceback" not in err) and (b"error:" in err.splitlines()[-1])
-
-
-def test_process_entry_exits_1_quietly_on_a_closed_pipe():
-    # the interpreter's own last flush printed "Exception ignored ... BrokenPipeError", exit 120
-    proc = _cli_process("spectrum")
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 1
-    assert b"Traceback" not in err and b"Exception ignored" not in err
-
-
-@pytest.mark.parametrize("argv", [("spectrum",), ("compare", "--basis-size", "16")])
-def test_process_entry_exits_1_with_an_error_line_when_stdout_is_closed(argv):
-    # `hlevels spectrum >&-`: Python starts with sys.stdout None
-    proc = subprocess.run([sys.executable, "-m", "hlevels.cli", *argv], env=_child_env(),
-                          stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr == b"error: standard output is closed\n"
-
-
-def test_main_leaves_the_environment_unchanged(capsys, monkeypatch):
-    for name in BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    before = dict(os.environ)
-    assert main(["compare", "--basis-size", "16", "--format", "json"]) == 0
-    assert dict(os.environ) == before
-
-
-_CLOSED_FORM_PROBE = """
-import contextlib, io, sys
-from hlevels.cli import main
-for command in (["spectrum", "--model", "kg"], ["widths"], ["constants"]):
-    for fmt in ("text", "csv", "json"):
-        argv = [*command, "--format", fmt]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0, argv
-print(sorted(m for m in ("numpy", "scipy", "dataclasses", "hlevels.harness") if m in sys.modules))
-"""
-
-
-def test_closed_form_commands_load_neither_numpy_nor_scipy():
-    proc = subprocess.run([sys.executable, "-c", _CLOSED_FORM_PROBE], capture_output=True,
-                          text=True, env=_child_env(), timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
-
-
-_SOLVER_PROBE = """
-import contextlib, io, sys
-from hlevels.cli import main
-for argv in (["compare", "--basis-size", "16"], ["salpeter", "--basis-size", "16"], ["verify"]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
-"""
-
-
-def test_solver_commands_do_not_load_scipy():
-    proc = subprocess.run([sys.executable, "-c", _SOLVER_PROBE], capture_output=True,
-                          text=True, env=_child_env(), timeout=300, check=True)
-    assert proc.stdout.strip() == "[]"
-
-
-def test_version_has_one_source():
-    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
-    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
-    assert "version" not in config["project"]
-    assert "version" in config["project"]["dynamic"]
-    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hlevels.__version__"}

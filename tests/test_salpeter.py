@@ -524,6 +524,24 @@ def test_an_l_past_the_grid_is_refused_by_row(C):
             lowest_levels(l, 1, SolverConfig(basis_size=nb), C)
 
 
+# the README's range for the l of lowest_levels: the largest l at each basis (a sweep accepted
+# none from l + 1 to l + 199) and the hole at basis 38
+_LARGEST_L = [(4, 77), (8, 171), (16, 501), (23, 830), (32, 483), (64, 174), (128, 34), (155, 4)]
+
+
+@pytest.mark.parametrize("nb, l, accepted", [
+    *((nb, l + past, not past) for nb, l in _LARGEST_L for past in (0, 1)),
+    (38, 371, True), *((38, l, False) for l in range(372, 378)), (38, 384, True),
+])
+def test_the_overlap_check_accepts_the_documented_l_range(C, nb, l, accepted):
+    cfg = SolverConfig(basis_size=nb)
+    if accepted:
+        _ScaledCore(l, cfg, C, 1)
+        return
+    with pytest.raises(IllConditionedBasis, match="^overlap deviates from the identity by "):
+        _ScaledCore(l, cfg, C, 1)
+
+
 @pytest.mark.filterwarnings("error")
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=4, max_value=64),
