@@ -53,11 +53,10 @@ __version__ = "1.0.0"
 _LAZY = {
     **dict.fromkeys(("Environment", "ReferenceDataset", "builtin_reference", "generate_table1",
                      "generate_table2", "load_reference_csv", "relative_error"), "harness"),
-    **dict.fromkeys(("SolverConfig", "SSOperatorMatrices", "build_matrices",
-                     "convergence_report", "lowest_levels", "salpeter_levels"), "salpeter"),
+    **dict.fromkeys(("SolverConfig", "SSOperatorMatrices", "build_matrices", "lowest_levels",
+                     "salpeter_levels"), "salpeter"),
     **dict.fromkeys(("RadialProblem", "TurningPoints", "analytic_i_infinity",
-                     "angular_eigenmomentum", "find_turning_points", "phase_integral",
-                     "verification_report"), "verifier"),
+                     "find_turning_points", "phase_integral", "verification_report"), "verifier"),
 }
 
 # `from hlevels import *` and dir() include them

@@ -395,33 +395,3 @@ def salpeter_levels(states, cfg: SolverConfig, c: Constants, z: int = 1) -> dict
         for l, count in sorted(counts.items())
         for level in lowest_levels(l, count, cfg, c, z=z)
     }
-
-
-def convergence_report(
-    l: int,
-    level_index: int,
-    basis_sizes,
-    cfg: SolverConfig,
-    c: Constants,
-    z: int = 1,
-) -> list[dict]:
-    """Ladder of (basis_size, value, delta) rows at the Bohr scale with a monotonicity flag.
-
-    Every row is flagged when any step is larger than the one before it.
-    """
-    sizes = sorted(basis_sizes)
-    if len(sizes) < 3:
-        raise ValueError("need at least 3 basis sizes")
-    rows = []
-    previous = None
-    for nb in sizes:
-        config = cfg._replace(basis_size=nb, scale_search=False)
-        value = lowest_levels(l, level_index + 1, config, c, z)[level_index].value
-        delta = None if previous is None else value - previous
-        rows.append({"basis_size": nb, "value_ev": value, "delta_ev": delta})
-        previous = value
-    deltas = [abs(r["delta_ev"]) for r in rows if r["delta_ev"] is not None]
-    flagged = any(b > a for a, b in zip(deltas, deltas[1:]))
-    for r in rows:
-        r["flagged"] = flagged
-    return rows

@@ -67,10 +67,6 @@ class ComplexMass(NamedTuple):
     re: float
     im: float
 
-    def width(self) -> float:
-        # total width Gamma = 2|M_im|
-        return 2.0 * abs(self.im)
-
 
 class EnergyLevel(NamedTuple):
     """A binding energy in eV together with its model tag and state."""
@@ -228,7 +224,7 @@ def qc_level(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1) -> Ene
 
 def qc_width(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1) -> float:
     """Total width Gamma = 2|M_im| in MeV."""
-    return qc_complex_mass(s, d, c, z=z).width()
+    return 2.0 * abs(qc_complex_mass(s, d, c, z=z).im)
 
 
 # --- tables ------------------------------------------------------------------

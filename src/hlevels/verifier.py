@@ -31,13 +31,6 @@ _PHASE_RTOL = 1.0e-9  # two successive phase integrals agree to this
 _PHASE_MAX_NODES = 1024
 
 
-def angular_eigenmomentum(l: int) -> float:
-    """Quasiclassical angular eigenvalue l + 1/2 (potential-independent)."""
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    return l + 0.5
-
-
 @_checked
 class RadialProblem(NamedTuple):
     """Radial radicand K(s)*[s - M(r)^2] - (l+1/2)^2/r^2 at trial mass^2 s.
@@ -55,7 +48,8 @@ class RadialProblem(NamedTuple):
     s_gap_high: float
 
     def _check(self):
-        angular_eigenmomentum(self.l)  # refuses l < 0
+        if self.l < 0:
+            raise ValueError(f"l must be >= 0, got {self.l}")
 
     @property
     def k_factor(self) -> float:
@@ -63,7 +57,8 @@ class RadialProblem(NamedTuple):
 
     @property
     def m_l(self) -> float:
-        return angular_eigenmomentum(self.l)
+        """Quasiclassical angular eigenvalue l + 1/2 (potential-independent)."""
+        return self.l + 0.5
 
     def radicand(self, r):
         return self.p_squared(r) - (self.m_l / r) ** 2

@@ -47,6 +47,9 @@ def test_parse_state_label_errors():
     for bad in ("0S", "S", "1X", "-1P", "x,y"):
         with pytest.raises(ParseError):
             parse_state_label(bad)
+    with pytest.raises(ParseError, match=r"^bad radial number in 'xS'$") as err:
+        parse_state_label("xS")
+    assert err.value.line is None
 
 
 @given(st.integers(min_value=1, max_value=9), st.sampled_from("SPDFGH"))

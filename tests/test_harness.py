@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -75,11 +76,19 @@ def test_load_reference_csv_empty(tmp_path):
 
 
 def test_load_reference_csv_malformed(tmp_path):
+    # each refusal names its line: a bad value, a bad header, a short row and a negative l
     f = tmp_path / "bad.csv"
-    f.write_text("state,k,l,T_eV\n1S,0,0,abc\n")
-    with pytest.raises(ParseError) as err:
-        load_reference_csv(f)
-    assert err.value.line == 2
+    for text, line, message in [
+        ("state,k,l,T_eV\n1S,0,0,abc\n", 2, "could not convert string to float: 'abc'"),
+        ("# comment\nstate,k,T_eV\n", 2, "expected header 'state,k,l,T_eV'"),
+        ("state,k,l,T_eV\n1S,0,-13.6\n", 2, "expected 4 fields, got 3"),
+        ("state,k,l,T_eV\n1S,0,0,-13.6\n1S,0,-1,-3.4\n", 3,
+         "quantum numbers must be non-negative: k=0, l=-1"),
+    ]:
+        f.write_text(text)
+        with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}$") as err:
+            load_reference_csv(f)
+        assert err.value.line == line
 
 
 def test_load_reference_csv_duplicate(tmp_path):

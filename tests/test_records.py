@@ -24,7 +24,6 @@ from hlevels import (
     SolverConfig,
     SSOperatorMatrices,
     TurningPoints,
-    convergence_report,
     derive,
 )
 
@@ -214,7 +213,3 @@ def test_radial_problem_computes_its_derived_fields():
     with pytest.raises(TypeError, match="s_gap_high"):
         RadialProblem(s=s, l=2, params=_P, derived=_D)
 
-
-def test_convergence_report_checks_each_basis_size():
-    with pytest.raises(ValueError, match="^basis_size must be >= 4$"):
-        convergence_report(0, 0, [3, 8, 16], SolverConfig(), Constants())

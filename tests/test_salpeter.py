@@ -17,7 +17,6 @@ from hlevels import (
     SolverConfig,
     SupercriticalCharge,
     build_matrices,
-    convergence_report,
     derive,
     lowest_levels,
     salpeter,
@@ -153,25 +152,27 @@ def test_count_validation(C):
         lowest_levels(-1, 1, small_cfg(scale_search=True), C)
 
 
-def test_convergence_report_flags_a_three_size_ladder(C):
+def _bohr_scale_ladder(l, sizes, c):
+    """The lowest level at each basis size on the fixed Bohr-scale path, in eV."""
+    return [lowest_levels(l, 1, SolverConfig(basis_size=nb, scale_search=False), c)[0].value
+            for nb in sizes]
+
+
+def test_bohr_scale_1s_steps_grow_from_32_to_128(C):
     # the 1S steps -1.10e-6 and then -1.13e-6 eV: the second step is the larger
-    rows = convergence_report(0, 0, (32, 64, 128), SolverConfig(), C)
-    assert -1.11e-6 < rows[1]["delta_ev"] < -1.09e-6
-    assert -1.14e-6 < rows[2]["delta_ev"] < -1.12e-6
-    assert all(r["flagged"] for r in rows)
+    e32, e64, e128 = _bohr_scale_ladder(0, (32, 64, 128), C)
+    assert -1.11e-6 < e64 - e32 < -1.09e-6
+    assert -1.14e-6 < e128 - e64 < -1.12e-6
 
 
-def test_convergence_report_ladder(C):
+def test_bohr_scale_ladder_steps(C):
     # steps in eV: l = 0 grows, 5.3e-7, 8.2e-7, 1.1e-6; l = 1 falls, 6.0e-5, 4.7e-11,
     # 1.1e-11; l = 2 falls, 2.1e-2, 1.2e-5, 3.7e-13
-    for l, flagged in ((0, True), (1, False), (2, False)):
-        rows = convergence_report(l, 0, (8, 16, 32, 64), SolverConfig(), C)
-        assert [r["basis_size"] for r in rows] == [8, 16, 32, 64]
-        assert rows[0]["delta_ev"] is None
-        assert abs(rows[-1]["delta_ev"]) <= 2e-6
-        assert all(r["flagged"] is flagged for r in rows), l
-    with pytest.raises(ValueError):
-        convergence_report(0, 0, (8, 16), small_cfg(), C)
+    for l, growing in ((0, True), (1, False), (2, False)):
+        values = _bohr_scale_ladder(l, (8, 16, 32, 64), C)
+        steps = [abs(b - a) for a, b in zip(values, values[1:])]
+        assert steps[-1] <= 2e-6
+        assert all((b > a) is growing for a, b in zip(steps, steps[1:])), (l, steps)
 
 
 def test_table_column_matches_frozen_values(C):
@@ -525,13 +526,17 @@ def test_an_l_past_the_grid_is_refused_by_row(C):
 
 
 # the README's range for the l of lowest_levels: the largest l at each basis (a sweep accepted
-# none from l + 1 to l + 199) and the hole at basis 38
+# none from l + 1 to l + 199) and the holes at basis 38, 39, 56 and 57: each edge of the
+# refused range and the l on either side of it
 _LARGEST_L = [(4, 77), (8, 171), (16, 501), (23, 830), (32, 483), (64, 174), (128, 34), (155, 4)]
 
 
 @pytest.mark.parametrize("nb, l, accepted", [
     *((nb, l + past, not past) for nb, l in _LARGEST_L for past in (0, 1)),
     (38, 371, True), *((38, l, False) for l in range(372, 378)), (38, 384, True),
+    *((39, l, True) for l in (357, 370, 371)), *((39, l, False) for l in (358, 369, 372)),
+    *((56, l, True) for l in (213, 216, 218)), *((56, l, False) for l in (214, 215, 219)),
+    *((57, l, True) for l in (207, 212, 213)), *((57, l, False) for l in (208, 211, 214)),
 ])
 def test_the_overlap_check_accepts_the_documented_l_range(C, nb, l, accepted):
     cfg = SolverConfig(basis_size=nb)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from _ddouble import DD
 from hlevels import (
-    ComplexMass,
     Constants,
     DerivedMasses,
     DiracState,

@@ -14,7 +14,6 @@ from hlevels import (
     RadialProblem,
     TurningPoints,
     analytic_i_infinity,
-    angular_eigenmomentum,
     default_params,
     find_turning_points,
     phase_integral,
@@ -37,11 +36,10 @@ def _problem(C, D, P, k=0, l=0):
     return RadialProblem(s=s_plus, l=l, params=P, derived=D, s_gap_high=gap_high)
 
 
-def test_angular_eigenmomentum():
-    assert angular_eigenmomentum(0) == 0.5
-    assert angular_eigenmomentum(1) == 1.5
-    with pytest.raises(ValueError):
-        angular_eigenmomentum(-1)
+def test_radial_problem_m_l_is_l_plus_a_half(C, D, P):
+    # m_l = l + 1/2 whatever the potential; l = -1 is refused in test_records.py
+    assert _problem(C, D, P, l=0).m_l == 0.5
+    assert _problem(C, D, P, l=1).m_l == 1.5
 
 
 def test_radial_problem_kinematic_factor(C, D, P):
