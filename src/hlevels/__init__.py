@@ -27,7 +27,6 @@ from .potential import (
     PotentialParams,
     default_params,
     potential_r,
-    running_alpha_r,
 )
 from .spectra import (
     ComplexMass,
@@ -52,11 +51,11 @@ __version__ = "1.0.0"
 # names here (PEP 562), so a closed-form command loads none of them.
 _LAZY = {
     **dict.fromkeys(("Environment", "ReferenceDataset", "builtin_reference", "generate_table1",
-                     "generate_table2", "load_reference_csv", "relative_error"), "harness"),
+                     "generate_table2", "load_reference_csv"), "harness"),
     **dict.fromkeys(("SolverConfig", "SSOperatorMatrices", "build_matrices", "lowest_levels",
                      "salpeter_levels"), "salpeter"),
-    **dict.fromkeys(("RadialProblem", "TurningPoints", "analytic_i_infinity",
-                     "find_turning_points", "phase_integral", "verification_report"), "verifier"),
+    **dict.fromkeys(("RadialProblem", "TurningPoints", "find_turning_points", "phase_integral",
+                     "verification_report"), "verifier"),
 }
 
 # `from hlevels import *` and dir() include them

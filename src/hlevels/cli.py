@@ -90,13 +90,7 @@ def _nuclear_charge(text: str) -> int:
 
 
 def _constants_from(args) -> Constants:
-    base = default_constants()
-    return Constants(
-        alpha=args.alpha if args.alpha is not None else base.alpha,
-        m_e=args.me_mev if args.me_mev is not None else base.m_e,
-        m_p=args.mp_mev if args.mp_mev is not None else base.m_p,
-        hbar_c=base.hbar_c,
-    )
+    return Constants(alpha=args.alpha, m_e=args.me_mev, m_p=args.mp_mev)
 
 
 def _solver_from(args):
@@ -231,9 +225,10 @@ def _cmd_constants(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--me-mev", type=float, default=None)
-    p.add_argument("--mp-mev", type=float, default=None)
+    codata = default_constants()
+    p.add_argument("--alpha", type=float, default=codata.alpha)
+    p.add_argument("--me-mev", type=float, default=codata.m_e)
+    p.add_argument("--mp-mev", type=float, default=codata.m_p)
 
 
 def build_parser() -> argparse.ArgumentParser:

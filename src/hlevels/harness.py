@@ -133,13 +133,6 @@ def load_reference_csv(path) -> ReferenceDataset:
     return ReferenceDataset(entries=entries, source=str(path))
 
 
-def relative_error(t_model: float, t_ref: float) -> float:
-    """epsilon = |(t_model - t_ref)/t_ref| * 100, in percent."""
-    if t_ref == 0.0:
-        raise ZeroDivisionError("reference energy is zero")
-    return abs((t_model - t_ref) / t_ref) * 100.0
-
-
 def _unless_refused(value):
     """value(), or None where a model refuses the input: the one path to an empty cell."""
     try:
@@ -195,8 +188,9 @@ def generate_table2(env: Environment, table1: list[dict]) -> list[dict]:
     rows = []
     for i, (st, t1) in enumerate(zip(TABLE_STATES, table1)):
         t_ref = t1.get("nist")
-        eps = {m: None if t1.get(m) is None or t_ref is None else relative_error(t1[m], t_ref)
-               for m in ("kg", "ss", "qc")}
+        # epsilon = |(t_model - t_ref)/t_ref| * 100 in percent; no reference energy is 0
+        eps = {m: None if t1.get(m) is None or t_ref is None
+               else abs((t1[m] - t_ref) / t_ref) * 100.0 for m in ("kg", "ss", "qc")}
         m_im = _unless_refused(lambda: abs(qc_complex_mass(st, d, env.constants, z=env.z).im))
         flags = {m: _flag(value, _PUBLISHED_EPS[m][i]) for m, value in eps.items()}
         flags["m_im"] = _flag(m_im, _PUBLISHED_M_IM[i])

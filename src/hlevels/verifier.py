@@ -147,25 +147,6 @@ def phase_integral(p: RadialProblem, tps: TurningPoints) -> float:
     )
 
 
-def analytic_i_infinity(
-    s: float,
-    d: DerivedMasses,
-    c: Constants,
-    gap_low: float,
-    gap_high: float,
-    z: int = 1,
-) -> float:
-    """Residue contribution pi*Z*alpha*m_plus*sqrt((s-m_minus^2)/(s*(m_plus^2-s))).
-
-    gap_low and gap_high are s - m_minus^2 and m_plus^2 - s, in closed
-    form for a quadratic root (see qc_root_gaps): the direct differences
-    would be limited by the rounding of s itself.
-    """
-    if gap_low <= 0.0 or gap_high <= 0.0:
-        raise ValueError(f"s = {s} outside the open interval (m_minus^2, m_plus^2)")
-    return math.pi * (z * c.alpha) * d.m_plus * math.sqrt(gap_low / (s * gap_high))
-
-
 def _check_state(st: QuantumState, d: DerivedMasses, c: Constants, params: PotentialParams):
     """Root, turning points, residual and I_infinity defect of one state."""
     s_plus, gap_low, gap_high = qc_root_gaps(st, d, c, params.z)
@@ -173,7 +154,11 @@ def _check_state(st: QuantumState, d: DerivedMasses, c: Constants, params: Poten
     tps = find_turning_points(problem)
     integral = phase_integral(problem, tps)
     target = math.pi * (st.k + 0.5)
-    i_inf = analytic_i_infinity(s_plus, d, c, gap_low, gap_high, params.z)
+    # the residue pi*Z*alpha*m_plus*sqrt((s-m_minus^2)/(s*(m_plus^2-s))), with the gaps in
+    # closed form: the direct differences would be limited by the rounding of s itself
+    if gap_low <= 0.0 or gap_high <= 0.0:
+        raise ValueError(f"s = {s_plus} outside the open interval (m_minus^2, m_plus^2)")
+    i_inf = math.pi * (params.z * c.alpha) * d.m_plus * math.sqrt(gap_low / (s_plus * gap_high))
     return {
         "s_plus": s_plus,
         "r1": tps.r1,
@@ -190,5 +175,8 @@ def verification_report(
     params: PotentialParams,
 ) -> list[dict]:
     """One row per state, named by its label or k:l: root, turning points, residual and
-    I_infinity check."""
+    I_infinity check.  The root and I_infinity take alpha from c, the potential from params."""
+    if params.alpha != c.alpha:
+        raise ValueError(f"the potential's alpha {params.alpha} is not the constants' alpha "
+                         f"{c.alpha}")
     return [{"state": _state_name(st), **_check_state(st, d, c, params)} for st in states]

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -709,3 +710,70 @@ def test_compare_formats_agree_cell_by_cell(capsys, tmp_path, z):
     assert unavailable == ({"1S", "2S", "3S"} if z == "100" else set())
     # past the S-wave critical coupling only the S cells of the Salpeter column are empty
     assert {r["state"] for r in accuracies if r["flags"]["ss"] == "UNAVAILABLE"} == unavailable
+
+
+# one argv for each `error:` line the README's "Input domain" table quotes; a CSV file names
+# the reference file of the three lines that refuse one
+_REFERENCE_CSV = {
+    "error: line 3: binding energy must be negative and finite, got nan":
+        "state,k,l,T_eV\n1S,0,0,-13.6\n2S,1,0,nan\n",
+    "error: line 2: expected 4 fields, got 3": "state,k,l,T_eV\n1S,0,0\n",
+    "error: state 1S appears more than once (line 3)":
+        "state,k,l,T_eV\n1S,0,0,-13.6\n1S,0,0,-13.6\n",
+}
+_DOMAIN_REFUSALS = [
+    ("error: alpha out of range: 1.0", ["spectrum", "--alpha", "1"]),
+    ("error: need 0 < m_e < m_p", ["spectrum", "--me-mev", "2000"]),
+    ("error: m_p must be finite and positive, got inf", ["spectrum", "--mp-mev", "inf"]),
+    ("error: derived mass m_plus of m_e = 1e+308, m_p = 1.5e+308 is not finite: inf",
+     ["constants", "--me-mev", "1e308", "--mp-mev", "1.5e308"]),
+    ("error: quasiclassical 1S at Z = 1, m_e = 2.508541587073535e-91 MeV and "
+     "m_p = 4.606065342981127e-88 MeV: the inputs exceed the range of double precision",
+     ["spectrum", "--model", "qc", "--me-mev", "2.508541587073535e-91",
+      "--mp-mev", "4.606065342981127e-88"]),
+    ("error: T_eV of 1S is -inf: the inputs exceed the range of double precision",
+     ["salpeter", "--states", "1S", "--me-mev", "8e307", "--mp-mev", "9e307"]),
+    ("error: T_eV of 1S is -inf: the inputs exceed the range of double precision",
+     ["spectrum", "--model", "kg", "--me-mev", "8e307", "--mp-mev", "9e307"]),
+    ("error: argument --z: Z must be an integer >= 1, got '0'", ["spectrum", "--z", "0"]),
+    ("error: Z*alpha = 0.503517 >= angular bound 0.5; state destroyed (Z=69)",
+     ["spectrum", "--model", "kg", "--z", "69"]),
+    ("error: Z*alpha/(2N) = 1.003386 >= 1 at N = 1; no quasiclassical level (Z=275)",
+     ["spectrum", "--model", "qc", "--z", "275"]),
+    ("error: Z*alpha = 0.642167 > critical coupling 0.636620 for l=0; no Salpeter level (Z=88)",
+     ["salpeter", "--states", "1S", "--z", "88"]),
+    ("error: alpha and lambda must be positive", ["verify", "--lambda-mev", "0"]),
+    ("error: alpha and lambda must be finite, got 0.0072973525664, inf",
+     ["verify", "--lambda-mev", "inf"]),
+    ("error: overflow encountered in square: the inputs exceed the range of double precision",
+     ["verify", "--lambda-mev", "1e146"]),
+    ("error: basis_size must be >= 4", ["salpeter", "--states", "1S", "--basis-size", "3"]),
+    ("error: overlap deviates from the identity by 1.025e-03 (limit 0.001); the momentum grid "
+     "is too coarse for basis function 155 of l = 3",
+     ["salpeter", "--states", "1F", "--basis-size", "156"]),
+    ("error: basis_size 3000 needs quad_nodes >= 6000, have 4096",
+     ["salpeter", "--states", "1S", "--basis-size", "3000"]),
+    ("error: unknown spectroscopic letter 'Q'", ["spectrum", "--states", "1Q"]),
+    ("error: no spectroscopic letter for l=8", ["spectrum", "--states", "0:8"]),
+    ("error: no state labels in ','", ["spectrum", "--states", ","]),
+    *((line, ["compare", "--reference"]) for line in _REFERENCE_CSV),
+]
+
+
+def test_readme_input_domain_lines_each_have_a_case():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("## Input domain"):readme.index("## Salpeter solver")]
+    assert set(re.findall(r"`(error: [^`]*)`", table)) == {line for line, _ in _DOMAIN_REFUSALS}
+
+
+@pytest.mark.parametrize("line, argv", _DOMAIN_REFUSALS)
+def test_cli_prints_the_readme_input_domain_line(capsys, tmp_path, line, argv):
+    if line in _REFERENCE_CSV:
+        path = tmp_path / "reference.csv"
+        path.write_text(_REFERENCE_CSV[line], encoding="utf-8")
+        argv = [*argv, str(path)]
+    code, out, err = run(capsys, *argv)
+    # argparse prefixes its usage errors with the program and the command
+    usage = line.startswith("error: argument ")
+    assert err.splitlines()[-1] == (f"hlevels {argv[0]}: {line}" if usage else line)
+    assert (code, out) == (2 if usage else 1, "")

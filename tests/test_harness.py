@@ -22,7 +22,6 @@ from hlevels import (
     generate_table1,
     generate_table2,
     load_reference_csv,
-    relative_error,
 )
 from hlevels.harness import TABLE_STATES, format_tables, tables_to_json
 from hlevels.spectra import format_cell
@@ -128,19 +127,25 @@ def test_reference_dataset_refuses_a_non_finite_energy(value):
         ReferenceDataset(entries={QuantumState(0, 0): value})
 
 
+def _table1_of(t: float, ref: float) -> list[dict]:
+    """Table 1 with every model energy t and every reference energy ref."""
+    return [{"state": st_.label, "kg": t, "ss": t, "qc": t, "nist": ref} for st_ in TABLE_STATES]
+
+
 def test_relative_error_examples():
-    assert relative_error(-13.59810653, -13.59843445) == pytest.approx(2.41e-3, rel=0.02)
-    assert relative_error(-3.39956046, -3.39962387) == pytest.approx(1.87e-3, rel=0.02)
-    assert relative_error(-5.0, -5.0) == 0.0
-    with pytest.raises(ZeroDivisionError):
-        relative_error(-1.0, 0.0)
+    # the relative error epsilon of table 2, in percent
+    rows = generate_table2(Environment(), published_table1())
+    assert rows[0]["eps_qc"] == pytest.approx(2.41e-3, rel=0.02)  # 1S
+    assert rows[5]["eps_qc"] == pytest.approx(1.87e-3, rel=0.02)  # 2S
+    assert generate_table2(Environment(), _table1_of(-5.0, -5.0))[0]["eps_kg"] == 0.0
 
 
 @given(st.floats(min_value=0.1, max_value=1e3), st.floats(min_value=0.1, max_value=1e3),
        st.floats(min_value=1e-3, max_value=1e3))
 def test_relative_error_scale_invariant(t, ref, scale):
-    assert relative_error(-t * scale, -ref * scale) == pytest.approx(
-        relative_error(-t, -ref), rel=1e-9
+    scaled = generate_table2(Environment(), _table1_of(-t * scale, -ref * scale))[0]
+    assert scaled["eps_ss"] == pytest.approx(
+        generate_table2(Environment(), _table1_of(-t, -ref))[0]["eps_ss"], rel=1e-9
     )
 
 
@@ -219,7 +224,8 @@ def test_generate_table2_never_copies_published_numbers():
     ref = builtin_reference()
     for i, r in enumerate(rows):
         for model in ("kg", "ss", "qc"):
-            expected = relative_error(PUBLISHED_T[model][i], ref.entries[TABLE_STATES[i]])
+            t_ref = ref.entries[TABLE_STATES[i]]
+            expected = abs((PUBLISHED_T[model][i] - t_ref) / t_ref) * 100.0
             assert r[f"eps_{model}"] == expected
 
 

@@ -13,7 +13,6 @@ from hlevels import (
     QuantumState,
     RadialProblem,
     TurningPoints,
-    analytic_i_infinity,
     default_params,
     find_turning_points,
     phase_integral,
@@ -121,12 +120,10 @@ def test_phase_integral_gives_up_at_its_node_cap(C, D, P):
         phase_integral(p, TurningPoints(tps.r1, 2.0 * tps.r2))
 
 
-def test_analytic_i_infinity_at_roots(C, D):
-    for k, l in ((0, 0), (1, 1), (0, 4)):
-        st = QuantumState(k, l)
-        s_plus, gap_low, gap_high = qc_root_gaps(st, D, C)
-        value = analytic_i_infinity(s_plus, D, C, gap_low=gap_low, gap_high=gap_high)
-        assert value == pytest.approx(2.0 * math.pi * st.n_principal(), rel=1e-10)
+def test_analytic_i_infinity_at_roots(C, D, P):
+    states = [QuantumState(0, 0), QuantumState(1, 1), QuantumState(0, 4)]
+    for st_, row in zip(states, verification_report(states, D, C, P)):
+        assert abs(row["i_inf_defect"]) <= 1e-10, st_
 
 
 # The quasiclassical closed form drops an O((Z alpha)^2) term of the
@@ -155,16 +152,27 @@ def test_verify_limit_holds_up_to_z_13(C, D):
     assert worst[13] <= 1e-5 < worst[14]
 
 
-def _gaps(s, D):
-    return s - D.m_minus**2, D.m_plus**2 - s
+def test_analytic_i_infinity_limits(C, D, P, monkeypatch):
+    # I_infinity refuses a root at or below m_minus^2; one at or above m_plus^2 has no bound
+    # region and is refused first, by find_turning_points
+    for gap_low in (0.0, -1.0):
+        def root_below_m_minus(st_, d, c, z, gap_low=gap_low):
+            s_plus, _, gap_high = qc_root_gaps(st_, d, c, z)
+            return s_plus, gap_low, gap_high
+
+        monkeypatch.setattr("hlevels.verifier.qc_root_gaps", root_below_m_minus)
+        with pytest.raises(ValueError, match=r"^s = \S+ outside the open interval "
+                                             r"\(m_minus\^2, m_plus\^2\)$"):
+            verification_report([QuantumState(0, 0)], D, C, P)
 
 
-def test_analytic_i_infinity_limits(C, D):
-    near_lower = D.m_minus**2 * (1.0 + 1e-9)
-    assert analytic_i_infinity(near_lower, D, C, *_gaps(near_lower, D)) < 1e-3
-    for outside in (D.m_plus**2 * 1.1, D.m_minus**2 * 0.9):
-        with pytest.raises(ValueError, match="outside the open interval"):
-            analytic_i_infinity(outside, D, C, *_gaps(outside, D))
+@pytest.mark.parametrize("alpha", [0.01, 0.0073])
+def test_verification_report_refuses_a_potential_of_another_alpha(C, D, alpha):
+    # the root comes from C.alpha and the potential from params: unchecked, 1S read a
+    # residual of 0.74 at alpha 0.01 and 7.3e-4 at 0.0073 with no error
+    with pytest.raises(ValueError, match=rf"^the potential's alpha {alpha} is not the "
+                                         rf"constants' alpha {C.alpha}$"):
+        verification_report([QuantumState(0, 0)], D, C, PotentialParams(alpha=alpha))
 
 
 def test_quantization_residuals_small(C, D, P):
