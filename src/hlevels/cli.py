@@ -89,10 +89,6 @@ def _nuclear_charge(text: str) -> int:
     return z
 
 
-def _constants_from(args) -> Constants:
-    return Constants(alpha=args.alpha, m_e=args.me_mev, m_p=args.mp_mev)
-
-
 def _solver_from(args):
     from .salpeter import SolverConfig
 
@@ -120,32 +116,32 @@ def _emit_rows(rows, header, fmt, float_spec=".8f"):
     sys.stdout.write(format_rows(rows, columns, fmt))
 
 
-def _cmd_spectrum(args) -> int:
-    if args.reduced_mass and args.model not in ("schrodinger", "scalar"):
+# spectrum's --model choices: each model's level of a state from (derive(c), c, Z, --reduced-mass)
+_MODELS = {
+    "schrodinger": lambda st, d, c, z, reduced: schrodinger_level(st.n_principal(), c, reduced, z),
+    "sommerfeld": lambda st, d, c, z, reduced: sommerfeld_level(
+        DiracState(n=st.n_principal(), two_j=2 * st.l + 1), z, c),
+    "kg": lambda st, d, c, z, reduced: kg_level(st, z, c),
+    "scalar": lambda st, d, c, z, reduced: scalar_coulomb_level(st, z, c, use_reduced=reduced),
+    "qc": lambda st, d, c, z, reduced: qc_level(st, d, c, z),
+}
+_REDUCED_MASS_MODELS = ("schrodinger", "scalar")  # --reduced-mass reaches these alone
+
+
+def _cmd_spectrum(args, c: Constants) -> int:
+    if args.reduced_mass and args.model not in _REDUCED_MASS_MODELS:
         print(f"error: --reduced-mass does not apply to --model {args.model}", file=sys.stderr)
         return 2
-    c = _constants_from(args)
-    d = derive(c)
-    states = _split_states(args.states)
-    rows = []
-    for st in states:
-        if args.model == "schrodinger":
-            level = schrodinger_level(st.n_principal(), c, args.reduced_mass, args.z)
-        elif args.model == "sommerfeld":
-            dirac = DiracState(n=st.n_principal(), two_j=2 * st.l + 1)
-            level = sommerfeld_level(dirac, args.z, c)
-        elif args.model == "kg":
-            level = kg_level(st, args.z, c)
-        elif args.model == "scalar":
-            level = scalar_coulomb_level(st, args.z, c, use_reduced=args.reduced_mass)
-        else:  # qc
-            level = qc_level(st, d, c, args.z)
-        rows.append({"state": st.label, "model": args.model, "T_eV": level.value})
+    d = derive(c)  # refuses masses whose sum overflows, whatever the model
+    level_of = _MODELS[args.model]
+    rows = [{"state": st.label, "model": args.model,
+             "T_eV": level_of(st, d, c, args.z, args.reduced_mass).value}
+            for st in _split_states(args.states)]
     _emit_rows(rows, ["state", "model", "T_eV"], args.format)
     return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, c: Constants) -> int:
     from .harness import (
         Environment,
         builtin_reference,
@@ -159,7 +155,6 @@ def _cmd_compare(args) -> int:
     if args.z > 1 and not args.reference:
         print(f"error: --z {args.z} needs --reference (built-in is hydrogen)", file=sys.stderr)
         return 2
-    c = _constants_from(args)
     reference = load_reference_csv(args.reference) if args.reference else builtin_reference()
     env = Environment(constants=c, solver=_solver_from(args), reference=reference, z=args.z)
     table1 = generate_table1(env=env)
@@ -170,10 +165,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, c: Constants) -> int:
     from .verifier import verification_report
 
-    c = _constants_from(args)
     d = derive(c)
     params = PotentialParams(alpha=c.alpha, lam=args.lambda_mev, z=args.z)
     rows = verification_report(TABLE_STATES, d, c, params)
@@ -192,8 +186,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_widths(args) -> int:
-    c = _constants_from(args)
+def _cmd_widths(args, c: Constants) -> int:
     d = derive(c)
     rows = [
         {"state": st.label, "gamma_MeV": qc_width(st, d, c, args.z)}
@@ -203,10 +196,9 @@ def _cmd_widths(args) -> int:
     return 0
 
 
-def _cmd_salpeter(args) -> int:
+def _cmd_salpeter(args, c: Constants) -> int:
     from .salpeter import salpeter_levels
 
-    c = _constants_from(args)
     cfg = _solver_from(args)
     levels = salpeter_levels(_split_states(args.states), cfg, c, z=args.z)
     rows = [{"state": st.label, "T_eV": value} for st, value in levels.items()]
@@ -214,8 +206,7 @@ def _cmd_salpeter(args) -> int:
     return 0
 
 
-def _cmd_constants(args) -> int:
-    c = _constants_from(args)
+def _cmd_constants(args, c: Constants) -> int:
     d = derive(c)
     rows = [{"name": k, "value": v} for k, v in sorted(c._asdict().items())]
     rows += [{"name": f"derived.{k}", "value": v} for k, v in sorted(d._asdict().items())]
@@ -237,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="closed-form level energies")
-    p.add_argument("--model", choices=("schrodinger", "sommerfeld", "kg", "scalar", "qc"),
-                   default="qc")
+    p.add_argument("--model", choices=tuple(_MODELS), default="qc")
     p.add_argument("--states", default=_DEFAULT_LABELS)
     p.add_argument("--reduced-mass", action="store_true")
     _add_common(p)
@@ -288,7 +278,7 @@ def main(argv=None) -> int:
         print("error: standard output is closed", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        return args.func(args, Constants(alpha=args.alpha, m_e=args.me_mev, m_p=args.mp_mev))
     except (HlevelsError, ValueError, ArithmeticError, OSError) as exc:
         message = str(exc)
         if isinstance(exc, (OverflowError, FloatingPointError)):

@@ -376,8 +376,7 @@ def lowest_levels(
     mantissa, exponent = math.frexp(derive(c).mu)
     power = math.ldexp(1.0, exponent)
     return [
-        EnergyLevel(value=float(v) * c.ev_per_mev * mantissa * za * power, model="salpeter",
-                    state=QuantumState(k=i, l=l))
+        EnergyLevel(float(v) * c.ev_per_mev * mantissa * za * power, QuantumState(i, l))
         for i, v in enumerate(values)
     ]
 

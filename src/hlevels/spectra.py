@@ -69,10 +69,9 @@ class ComplexMass(NamedTuple):
 
 
 class EnergyLevel(NamedTuple):
-    """A binding energy in eV together with its model tag and state."""
+    """A binding energy in eV together with its state."""
 
     value: float
-    model: str
     state: object
 
 
@@ -145,19 +144,19 @@ def schrodinger_level(
         raise ValueError(f"N must be >= 1, got {n_principal}")
     m = derive(c).mu if use_reduced else c.m_e
     value = -m * (z * c.alpha) ** 2 / (2.0 * n_principal**2) * c.ev_per_mev
-    return EnergyLevel(value=value, model="schrodinger", state=n_principal)
+    return EnergyLevel(value=value, state=n_principal)
 
 
 def sommerfeld_level(s: DiracState, z: int, c: Constants) -> EnergyLevel:
     """Fine-structure level from the relativistic vector-Coulomb formula."""
     value = _vector_coulomb_ev(s.n, (s.two_j + 1) / 2.0, z, c)
-    return EnergyLevel(value=value, model="sommerfeld", state=s)
+    return EnergyLevel(value=value, state=s)
 
 
 def kg_level(s: QuantumState, z: int, c: Constants) -> EnergyLevel:
     """Vector-Coulomb Klein-Gordon level; static equation, bare electron mass."""
     value = _vector_coulomb_ev(s.n_principal(), s.l + 0.5, z, c)
-    return EnergyLevel(value=value, model="kg", state=s)
+    return EnergyLevel(value=value, state=s)
 
 
 def scalar_coulomb_level(
@@ -174,7 +173,7 @@ def scalar_coulomb_level(
     m = derive(c).mu if use_reduced else c.m_e
     # sqrt(1-y^2) - 1 = -y^2 / (1 + sqrt(1-y^2))
     value = -m * y * y / (1.0 + math.sqrt(1.0 - y * y)) * c.ev_per_mev
-    return EnergyLevel(value=value, model="scalar", state=s)
+    return EnergyLevel(value=value, state=s)
 
 
 def qc_root_gaps(
@@ -214,12 +213,17 @@ def qc_level(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1) -> Ene
     reduces to 2 b^2/(|eps^2| + e_N^2) - m_plus^2 v^2: every term is O(v^2),
     so the ~1e-8 relative difference of the masses is never formed by
     subtracting the masses themselves.  Depends on (k, l) only through N.
+    Each term is F = m_plus^2/(4 m_e m_p) times the level (460 at CODATA), so the
+    level is refused past F = 2^20, where its error F * 2^-52 reaches 2.3e-10.
     """
     v, e2, b, abs_eps2 = _qc_parts(s, d, c, z)
+    if d.m_plus / c.m_e * (d.m_plus / c.m_p) > 2.0**22:  # F > 2^20
+        raise HlevelsError(f"quasiclassical {_state_name(s)} at m_e = {c.m_e} MeV and m_p = "
+                           f"{c.m_p} MeV: its two terms cancel past m_plus^2/(4 m_e m_p) = 2^20")
     re = math.sqrt(2.0 * (abs_eps2 + e2))
     num = 2.0 * b * b / (abs_eps2 + e2) - d.m_plus**2 * v * v
     value = num / (re + d.m_plus) * c.ev_per_mev
-    return EnergyLevel(value=value, model="qc", state=s)
+    return EnergyLevel(value=value, state=s)
 
 
 def qc_width(s: QuantumState, d: DerivedMasses, c: Constants, z: int = 1) -> float:

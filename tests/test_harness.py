@@ -196,7 +196,7 @@ def test_generate_table1_salpeter_failure_empties_only_its_l(monkeypatch):
     def s_wave_fails(l, count, *args, **kwargs):
         if l == 0:
             raise SupercriticalCharge("S wave")
-        return [EnergyLevel(value=-1.0 - l - k, model="salpeter", state=QuantumState(k, l))
+        return [EnergyLevel(value=-1.0 - l - k, state=QuantumState(k, l))
                 for k in range(count)]
 
     monkeypatch.setattr("hlevels.salpeter.lowest_levels", s_wave_fails)

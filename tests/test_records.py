@@ -53,9 +53,9 @@ RECORDS = {
                    "DiracState(n=2, two_j=3)"),
     "ComplexMass": (lambda: ComplexMass(1.5, -0.25), lambda: ComplexMass(1.5, 0.25),
                     "ComplexMass(re=1.5, im=-0.25)"),
-    "EnergyLevel": (lambda: EnergyLevel(-13.6, "kg", QuantumState(0, 0)),
-                    lambda: EnergyLevel(-13.6, "qc", QuantumState(0, 0)),
-                    "EnergyLevel(value=-13.6, model='kg', state=QuantumState(k=0, l=0))"),
+    "EnergyLevel": (lambda: EnergyLevel(-13.6, QuantumState(0, 0)),
+                    lambda: EnergyLevel(-13.6, QuantumState(1, 0)),
+                    "EnergyLevel(value=-13.6, state=QuantumState(k=0, l=0))"),
     "PotentialParams": (lambda: PotentialParams(alpha=_C.alpha),
                         lambda: PotentialParams(alpha=_C.alpha, z=2), _PARAMS_REPR),
     "ReferenceDataset": (lambda: ReferenceDataset({QuantumState(0, 0): -13.6}),

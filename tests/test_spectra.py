@@ -391,6 +391,20 @@ def test_qc_refusal_names_a_state_past_the_letters():
         qc_level(QuantumState(0, 8), derive(c), c)
 
 
+def test_qc_level_is_refused_where_its_two_terms_cancel(C):
+    # each term is F = m_plus^2/(4 m_e m_p) times the level: at m_p = 2.1e6 MeV (F = 1.03e6)
+    # the 1S level keeps its 8th decimal (measured: 3.3e-9 eV from the oracle); at 2.2e6 MeV
+    # (F = 1.08e6 > 2^20) it is refused, while M_im, which has no such difference, is not
+    c = C._replace(m_p=2.1e6)
+    assert abs(qc_level(TABLE_STATES[0], derive(c), c).value
+               - _qc_naive_dd(TABLE_STATES[0], derive(c), c)) <= 5e-9
+    c = C._replace(m_p=2.2e6)
+    with pytest.raises(HlevelsError, match=r"^quasiclassical 1S at m_e = 0\.5109989461 MeV and "
+                       r"m_p = 2200000\.0 MeV: its two terms cancel past m_plus\^2/\(4 m_e m_p\)"):
+        qc_level(TABLE_STATES[0], derive(c), c)
+    assert qc_width(TABLE_STATES[0], derive(c), c) > 0.0
+
+
 def test_critical_z(C):
     # the last Z with a level: Z*alpha < j + 1/2 for sommerfeld, l + 1/2 for kg
     for level, state, last in ((sommerfeld_level, DiracState(1, 1), 137),
